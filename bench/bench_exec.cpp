@@ -62,7 +62,7 @@ void RunEngine(benchmark::State& state, cpu::EngineKind kind,
   cpu::VcpuStats stats;
   for (auto _ : state) {
     MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                  cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, dbt);
+                  cpu::VirtMode::kHardwareAssist, dbt);
     if (!m.Load(prog)) {
       state.SkipWithError("load failed");
       return;
@@ -102,7 +102,7 @@ void RunEngineHot(benchmark::State& state, cpu::EngineKind kind,
   std::string prog = guest::ComputeProgram(iters);
 
   MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, dbt);
+                cpu::VirtMode::kHardwareAssist, dbt);
   if (!m.Load(prog)) {
     state.SkipWithError("load failed");
     return;
@@ -236,7 +236,8 @@ void RunEngineSmc(benchmark::State& state, cpu::EngineKind kind) {
   cpu::VcpuStats stats;
   for (auto _ : state) {
     MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                  cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/48);
+                  cpu::VirtMode::kHardwareAssist,
+                  cpu::DbtOptions{.max_blocks = 48});
     if (!m.Load(prog)) {
       state.SkipWithError("load failed");
       return;

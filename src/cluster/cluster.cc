@@ -437,24 +437,4 @@ void Cluster::RunFor(SimTime duration) {
   }
 }
 
-bool Cluster::RunUntilQuiescent(SimTime max_time) {
-  for (;;) {
-    bool active = clock().HasPending();
-    for (auto& member : hosts_) {
-      active = active || member->AnyVcpuRunnable();
-    }
-    if (!active) {
-      return true;
-    }
-    SimTime before = clock().now();
-    if (before >= max_time) {
-      return false;
-    }
-    RunFor(std::min<SimTime>(max_time - before, 10 * kSimTicksPerMs));
-    if (clock().now() == before) {
-      return false;  // stuck: pending work that cannot advance time
-    }
-  }
-}
-
 }  // namespace hyperion::cluster

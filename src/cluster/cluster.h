@@ -147,9 +147,6 @@ class Cluster {
   // Advances the shared clock by `duration`, running a DrsTick at every
   // drs.interval boundary. Time spent inside migrations counts.
   void RunFor(SimTime duration);
-  // Runs until no member has a runnable vCPU and no events are pending, or
-  // until the clock reaches `max_time`. Returns true when quiescent.
-  bool RunUntilQuiescent(SimTime max_time);
 
   // One orchestrator pass: refresh load windows, evacuate failed hosts,
   // periodic checkpoints, drain moves, hot-host rebalance. Public so tests

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "src/fault/fault.h"
-#include "src/util/logging.h"
 
 namespace hyperion::core {
 
@@ -254,7 +253,6 @@ void Host::CommitSlices(const CommitPhase& commit, RoundPlan& plan) {
         plan.wake_horizon = std::min(plan.wake_horizon, work.start);
       }
     }
-    internal::WriteLogText(commit, work.log);
 
     SimTime done = work.start + std::max<uint64_t>(work.result.cycles, 1);
     // Switching the pCPU to a different vCPU costs a world switch plus the
@@ -328,50 +326,12 @@ void Host::ExecuteSlice(SliceWork& work) {
   SimClock::SetStage(ep, &work.clock_stage);
   net::VirtualSwitch::SetStage(ep, &work.tx_stage);
   mem::FramePool::SetStage(ep, &work.pool_stage);
-  internal::SetThreadLogSink(ep, &work.log);
   tls_slice_ = &work;
   work.result = work.ref.vm->RunVcpuSlice(ep, work.ref.vcpu, work.budget, work.start);
   tls_slice_ = nullptr;
-  internal::SetThreadLogSink(ep, nullptr);
   mem::FramePool::SetStage(ep, nullptr);
   net::VirtualSwitch::SetStage(ep, nullptr);
   SimClock::SetStage(ep, nullptr);
-}
-
-bool Host::AnyVcpuRunnable() const {
-  for (const auto& [id, ref] : entities_) {
-    (void)id;
-    const cpu::CpuState& s = ref.vm->vcpu(ref.vcpu).state;
-    if (ref.vm->state() == VmState::kRunning && !s.halted && !s.waiting) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Host::RunUntilQuiescent(SimTime max_time) {
-  for (;;) {
-    bool any_runnable = AnyVcpuRunnable();
-    if (!any_runnable && !clock().HasPending()) {
-      return true;
-    }
-    if (clock().now() >= max_time) {
-      return false;
-    }
-    SimTime before = clock().now();
-    SimTime step = max_time - before;
-    if (any_runnable) {
-      step = std::min<SimTime>(step, 50 * kSimTicksPerMs);
-    } else {
-      // Nothing schedulable: hop straight to the next event instead of
-      // grinding through fixed-size idle chunks.
-      step = std::min<SimTime>(step, std::max<SimTime>(clock().NextEventTime() - before, 1));
-    }
-    RunFor(step);
-    if (clock().now() == before) {
-      return false;  // no progress possible
-    }
-  }
 }
 
 verify::AuditReport Host::AuditFrameAccounting() const {

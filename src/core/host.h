@@ -97,17 +97,8 @@ class Host {
   // is one fabric-wide quantity.
   void RunFor(SimTime duration);
 
-  // Runs until every VM is halted/crashed/paused and no events are pending,
-  // or until `max_time` is reached. Returns true when quiescent.
-  bool RunUntilQuiescent(SimTime max_time);
-
   // Convenience: run until `vm` leaves the running state (or max_time).
   bool RunUntilVmStops(Vm* vm, SimTime max_time);
-
-  // True when some vCPU on this host is schedulable right now (its VM
-  // running, not halted, not waiting). Cluster-level quiescence checks poll
-  // this across members.
-  bool AnyVcpuRunnable() const;
 
   // --- Hooks used by Vm --------------------------------------------------
 
@@ -192,7 +183,6 @@ class Host {
     net::VirtualSwitch::TxStage tx_stage;
     mem::FramePool::Stage pool_stage;
     std::vector<WakeOp> wakes;
-    std::string log;
   };
 
   // A pCPU that found nothing runnable at `start` and parks until `park`.

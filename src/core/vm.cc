@@ -1,7 +1,6 @@
 #include "src/core/vm.h"
 
 #include "src/core/host.h"
-#include "src/util/logging.h"
 
 namespace hyperion::core {
 
@@ -436,7 +435,6 @@ cpu::VcpuStats Vm::TotalStats() const {
 }
 
 void Vm::Crash(const Phase& ph, const Status& reason) {
-  HYP_LOG(kError) << "vm '" << config_.name << "' crashed: " << reason.ToString();
   state_ = VmState::kCrashed;
   crash_reason_ = reason;
   for (uint32_t i = 0; i < num_vcpus(); ++i) {

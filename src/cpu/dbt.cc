@@ -332,7 +332,7 @@ class DbtEngine final : public ExecutionEngine {
     pending_flush_ = false;
     have_pending_ = false;
     if (blob.empty()) {
-      return;  // v1 snapshot or non-DBT source: plain cold start
+      return;  // non-DBT source (empty blob): plain cold start
     }
     uint32_t trailer = 0;
     if (blob.size() < 16) {
@@ -1189,27 +1189,12 @@ class DbtEngine final : public ExecutionEngine {
 
 }  // namespace
 
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(size_t max_blocks) {
-  DbtOptions options;
-  options.max_blocks = max_blocks;
-  return std::make_unique<DbtEngine>(options);
-}
-
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(const DbtOptions& options) {
-  return std::make_unique<DbtEngine>(options);
-}
-
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind) {
-  return MakeEngine(kind, DbtOptions{});
-}
-
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind,
-                                            const DbtOptions& options) {
+std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind, const DbtOptions& options) {
   switch (kind) {
     case EngineKind::kInterpreter:
       return MakeInterpreter();
     case EngineKind::kDbt:
-      return MakeDbtEngine(options);
+      return std::make_unique<DbtEngine>(options);
   }
   return nullptr;
 }

@@ -33,14 +33,10 @@ struct DbtOptions {
   uint32_t tier2_threshold = 50;
 };
 
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(size_t max_blocks = 4096);
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(const DbtOptions& options);
-
 enum class EngineKind : uint8_t { kInterpreter = 0, kDbt = 1 };
 
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind);
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind,
-                                            const DbtOptions& options);
+// `options` only applies to kDbt.
+std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind, const DbtOptions& options = {});
 
 }  // namespace hyperion::cpu
 

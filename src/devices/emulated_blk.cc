@@ -100,13 +100,6 @@ void EmulatedBlockDevice::CompleteCommand(const Phase& ph, uint32_t cmd) {
   irq_.Assert(ph);
 }
 
-void EmulatedBlockDevice::Reset(const DirectPhase&) {
-  lba_ = 0;
-  count_ = 1;
-  busy_ = data_ready_ = error_ = false;
-  data_ptr_ = 0;
-}
-
 void EmulatedBlockDevice::Serialize(ByteWriter& w) const {
   w.WriteU32(lba_);
   w.WriteU32(count_);

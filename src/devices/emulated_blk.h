@@ -40,7 +40,6 @@ class EmulatedBlockDevice final : public MmioDevice {
   std::string_view name() const override { return "emu-blk"; }
   Result<uint32_t> Read(uint32_t offset, uint32_t size) override;
   Status Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t value) override;
-  void Reset(const DirectPhase& ph) override;
 
   void Serialize(ByteWriter& w) const override;
   Status Deserialize(const DirectPhase& ph, ByteReader& r) override;

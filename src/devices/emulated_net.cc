@@ -89,14 +89,6 @@ Status EmulatedNetDevice::Write(const Phase& ph, uint32_t offset, uint32_t size,
   }
 }
 
-void EmulatedNetDevice::Reset(const DirectPhase&) {
-  tx_len_ = 0;
-  tx_dst_ = 0;
-  data_ptr_ = 0;
-  rx_queue_.clear();
-  rx_valid_ = false;
-}
-
 void EmulatedNetDevice::OnFrame(const SerialPhase& ph, const net::Frame& frame) {
   if (frame.payload.size() > kBufBytes || rx_queue_.size() >= 64) {
     ++stats_.rx_dropped;

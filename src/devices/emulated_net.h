@@ -35,7 +35,6 @@ class EmulatedNetDevice final : public MmioDevice, public net::FrameSink {
   std::string_view name() const override { return "emu-net"; }
   Result<uint32_t> Read(uint32_t offset, uint32_t size) override;
   Status Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t value) override;
-  void Reset(const DirectPhase& ph) override;
 
   // net::FrameSink
   void OnFrame(const SerialPhase& ph, const net::Frame& frame) override;

@@ -34,9 +34,8 @@ inline constexpr uint8_t kVirtioIrqBase = 8;  // + slot
 // legal only where a device says so (most registers are word-only).
 //
 // Write carries the caller's phase token (doorbells raise interrupts and
-// schedule completions, which must stage from a slice). Reset and
-// Deserialize happen only between rounds — snapshot restore, init — so they
-// demand a direct token.
+// schedule completions, which must stage from a slice). Deserialize happens
+// only between rounds — snapshot restore — so it demands a direct token.
 class MmioDevice {
  public:
   virtual ~MmioDevice() = default;
@@ -44,7 +43,6 @@ class MmioDevice {
   virtual std::string_view name() const = 0;
   virtual Result<uint32_t> Read(uint32_t offset, uint32_t size) = 0;
   virtual Status Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t value) = 0;
-  virtual void Reset(const DirectPhase& ph) { (void)ph; }
 
   // Snapshot hooks: serialize register state (not backing storage — disk
   // contents snapshot separately via HVD overlays).

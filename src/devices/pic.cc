@@ -68,15 +68,6 @@ Status InterruptController::Write(const Phase& ph, uint32_t offset, uint32_t siz
   return OkStatus();
 }
 
-void InterruptController::Reset(const DirectPhase& ph) {
-  pending_ = 0;
-  enable_ = 0;
-  uint32_t before = ipi_pending_;
-  ipi_pending_ = 0;
-  UpdateLevel(ph);
-  UpdateIpiLevels(ph, before);
-}
-
 void InterruptController::UpdateLevel(const Phase& ph) {
   if (sink_) {
     sink_(ph, (pending_ & enable_) != 0);

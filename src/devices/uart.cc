@@ -37,11 +37,6 @@ Status Uart::Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t val
   }
 }
 
-void Uart::Reset(const DirectPhase&) {
-  rx_.clear();
-  rx_irq_enabled_ = false;
-}
-
 void Uart::InjectInput(const Phase& ph, std::string_view text) {
   for (char c : text) {
     rx_.push_back(static_cast<uint8_t>(c));

@@ -21,32 +21,6 @@ constexpr uint64_t kTearSector = 512;
 
 }  // namespace
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFrameDrop:
-      return "FRAME_DROP";
-    case FaultKind::kFrameDuplicate:
-      return "FRAME_DUPLICATE";
-    case FaultKind::kFrameReorder:
-      return "FRAME_REORDER";
-    case FaultKind::kLatencySpike:
-      return "LATENCY_SPIKE";
-    case FaultKind::kLinkDown:
-      return "LINK_DOWN";
-    case FaultKind::kReadError:
-      return "READ_ERROR";
-    case FaultKind::kWriteError:
-      return "WRITE_ERROR";
-    case FaultKind::kTornWrite:
-      return "TORN_WRITE";
-    case FaultKind::kHostPause:
-      return "HOST_PAUSE";
-    case FaultKind::kHostCrash:
-      return "HOST_CRASH";
-  }
-  return "UNKNOWN";
-}
-
 // --- FaultPlan helpers ------------------------------------------------------
 
 void FaultPlan::AddLinkDown(std::string site, SimTime from, SimTime until) {

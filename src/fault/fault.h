@@ -52,8 +52,6 @@ enum class FaultKind : uint8_t {
   kHostCrash,       // every VM on the host crashes at `from` (one-shot)
 };
 
-std::string_view FaultKindName(FaultKind kind);
-
 // Operation classes whose per-site counters drive op-keyed events.
 enum class OpClass : uint8_t {
   kFrame = 0,   // one switch frame delivery attempt

@@ -143,6 +143,4 @@ std::string Disassemble(const Instruction& i) {
   }
 }
 
-std::string DisassembleWord(uint32_t word) { return Disassemble(Decode(word)); }
-
 }  // namespace hyperion::isa

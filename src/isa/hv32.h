@@ -242,7 +242,6 @@ Instruction Decode(uint32_t word);
 
 // Human-readable rendering, e.g. "add a0, a1, t0" or "lw a0, 8(sp)".
 std::string Disassemble(const Instruction& instr);
-std::string DisassembleWord(uint32_t word);
 
 // Register name for operand `r`, e.g. "a0" / "sp".
 std::string_view GprName(uint8_t r);

@@ -10,7 +10,6 @@
 
 #include "src/fault/fault.h"
 #include "src/snapshot/snapshot.h"
-#include "src/util/logging.h"
 
 namespace hyperion::migrate {
 

@@ -123,29 +123,6 @@ TranslateOutcome MemoryVirtualizer::TranslateBare(uint32_t va, Access access) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// BarePassthrough
-// ---------------------------------------------------------------------------
-
-TranslateOutcome BarePassthrough::Translate(uint32_t va, Access access, isa::PrivMode priv,
-                                            bool paging, uint32_t ptbr) {
-  (void)priv;
-  (void)paging;  // with no page tables there is nothing paging could change
-  (void)ptbr;
-  return TranslateBare(va, access);
-}
-
-uint64_t BarePassthrough::OnPtbrWrite(uint32_t new_ptbr) {
-  (void)new_ptbr;
-  return 0;
-}
-
-std::unique_ptr<MemoryVirtualizer> MakeBarePassthrough(mem::GuestMemory* memory,
-                                                       const CostModel& costs,
-                                                       size_t tlb_entries) {
-  return std::make_unique<BarePassthrough>(memory, costs, tlb_entries);
-}
-
 std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory,
                                                    const CostModel& costs, size_t tlb_entries) {
   switch (mode) {

@@ -9,7 +9,8 @@
 //  * NestedPaging — hardware-style two-dimensional walks. PT updates are
 //    free, but every TLB miss pays the (g+1)·(n+1)−1 step 2-D walk.
 //
-// BarePassthrough serves guests running with paging disabled.
+// Both serve guests running with paging disabled through the shared
+// MemoryVirtualizer::TranslateBare (gva == gpa).
 //
 // The virtualizer also folds in host-side page states: write-protected pages
 // (shadow PT interception), COW-shared pages (KSM), and absent pages
@@ -182,18 +183,6 @@ class MemoryVirtualizer {
   MmuStats stats_;
 };
 
-// Paging-off operation: gva == gpa. Also used as the fallback path by the
-// other strategies when the guest has not yet enabled paging.
-class BarePassthrough final : public MemoryVirtualizer {
- public:
-  using MemoryVirtualizer::MemoryVirtualizer;
-
-  std::string_view name() const override { return "bare"; }
-  TranslateOutcome Translate(uint32_t va, Access access, isa::PrivMode priv, bool paging,
-                             uint32_t ptbr) override;
-  uint64_t OnPtbrWrite(uint32_t new_ptbr) override;
-};
-
 // Factory helpers.
 std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory,
                                                     const CostModel& costs = CostModel::Default(),
@@ -204,9 +193,6 @@ std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory,
                                                     const CostModel& costs = CostModel::Default(),
                                                     size_t tlb_entries = 256,
                                                     bool asid_tlb = false);
-std::unique_ptr<MemoryVirtualizer> MakeBarePassthrough(
-    mem::GuestMemory* memory, const CostModel& costs = CostModel::Default(),
-    size_t tlb_entries = 256);
 
 enum class PagingMode : uint8_t { kShadow = 0, kNested = 1, kNestedAsid = 2 };
 

@@ -10,10 +10,9 @@ namespace hyperion::snapshot {
 namespace {
 
 constexpr uint32_t kMagic = 0x504E5348;  // "HSNP"
-// v1: no feature-bits word. v2 adds a u32 feature-bit mask right after the
-// version; each bit gates an optional trailing section, so a v2 reader can
-// restore any v1 image and reject (rather than misparse) images from a
-// future writer that set bits it does not know.
+// LoadVm accepts only kVersion. A u32 feature-bit mask follows the version;
+// each bit gates an optional trailing section, so the reader rejects (rather
+// than misparses) images from a future writer that set bits it does not know.
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kFeatTranslations = 1u << 0;  // per-vCPU translation cache
 constexpr uint32_t kKnownFeatures = kFeatTranslations;
@@ -29,24 +28,21 @@ constexpr uint8_t kFlagIncremental = 1;
 Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotInfo* info) {
   ByteWriter w;
   w.WriteU32(kMagic);
-  uint32_t version = options.legacy_v1 ? 1 : kVersion;
-  w.WriteU32(version);
+  w.WriteU32(kVersion);
   // Translation sections are collected up front so the feature word can say
   // definitively whether the trailing sections exist. An interpreter engine
   // serializes to an empty blob; that still counts as the section being
   // present (restore passes it through and the engine ignores it).
   uint32_t features = 0;
   std::vector<std::vector<uint8_t>> translations;
-  if (version >= 2 && options.translations) {
+  if (options.translations) {
     features |= kFeatTranslations;
     translations.reserve(vm.num_vcpus());
     for (uint32_t i = 0; i < vm.num_vcpus(); ++i) {
       translations.push_back(vm.engine(i).SerializeTranslations());
     }
   }
-  if (version >= 2) {
-    w.WriteU32(features);
-  }
+  w.WriteU32(features);
   w.WriteU8(options.incremental ? kFlagIncremental : 0);
   w.WriteU32(vm.memory().ram_size());
   w.WriteU32(vm.num_vcpus());
@@ -153,15 +149,12 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
     return DataLossError("bad snapshot magic");
   }
   HYP_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version < 1 || version > kVersion) {
+  if (version != kVersion) {
     return UnimplementedError("unsupported snapshot version");
   }
-  uint32_t features = 0;
-  if (version >= 2) {
-    HYP_ASSIGN_OR_RETURN(features, r.ReadU32());
-    if ((features & ~kKnownFeatures) != 0) {
-      return UnimplementedError("snapshot carries unknown feature bits");
-    }
+  HYP_ASSIGN_OR_RETURN(uint32_t features, r.ReadU32());
+  if ((features & ~kKnownFeatures) != 0) {
+    return UnimplementedError("snapshot carries unknown feature bits");
   }
   HYP_ASSIGN_OR_RETURN(uint8_t flags, r.ReadU8());
   bool incremental = flags & kFlagIncremental;

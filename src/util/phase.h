@@ -4,7 +4,7 @@
 //
 //   * execute — vCPU slices running concurrently on worker lanes. All
 //     cross-VM side effects (clock events, switch frames, frame decrefs,
-//     wakes, log lines) must be *staged* into per-slice buffers.
+//     wakes) must be *staged* into per-slice buffers.
 //   * commit  — the host thread merging staged buffers at the round barrier,
 //     in deterministic dispatch order.
 //   * serial  — everything else: setup, teardown, clock callbacks, the

@@ -150,16 +150,6 @@ Status VirtioDevice::Write(const Phase& ph, uint32_t offset, uint32_t size, uint
   }
 }
 
-void VirtioDevice::Reset(const DirectPhase&) {
-  for (VirtQueue& q : queues_) {
-    q.Reset();
-  }
-  queue_sel_ = 0;
-  isr_ = 0;
-  device_status_ = 0;
-  features_ = 0;
-}
-
 Status VirtioDevice::Kick(const Phase& ph, uint16_t q) {
   if (q >= queues_.size()) {
     return InvalidArgumentError("kick on unknown queue");

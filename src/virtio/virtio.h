@@ -138,14 +138,6 @@ class VirtQueue {
            static_cast<uint16_t>(new_idx - old_idx);
   }
 
-  void Reset() {
-    desc_gpa_ = avail_gpa_ = used_gpa_ = 0;
-    size_ = 0;
-    last_avail_ = 0;
-    used_idx_ = 0;
-    ready_ = false;
-  }
-
   uint16_t last_avail() const { return last_avail_; }
   // Device-side used index; must match the idx published in guest memory.
   uint16_t used_idx() const { return used_idx_; }
@@ -192,7 +184,6 @@ class VirtioDevice : public devices::MmioDevice {
 
   Result<uint32_t> Read(uint32_t offset, uint32_t size) override;
   Status Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t value) override;
-  void Reset(const DirectPhase& ph) override;
 
   void Serialize(ByteWriter& w) const override {
     for (const VirtQueue& q : queues_) {

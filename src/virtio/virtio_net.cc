@@ -206,13 +206,6 @@ void VirtioNet::PumpRx(const Phase& ph) {
   }
 }
 
-void VirtioNet::Reset(const DirectPhase& ph) {
-  VirtioDevice::Reset(ph);
-  rx_backlog_.clear();
-  tx_polling_ = false;
-  ++poll_gen_;  // orphan any in-flight poll event
-}
-
 void VirtioNet::Serialize(ByteWriter& w) const {
   VirtioDevice::Serialize(w);
   w.WriteU8(tx_polling_ ? 1 : 0);

@@ -65,7 +65,6 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
   // Coalesced delivery: fill RX chains for the whole burst, one interrupt.
   void OnFrameBurst(const SerialPhase& ph, std::span<const net::Frame> frames) override;
 
-  void Reset(const DirectPhase& ph) override;
   void Serialize(ByteWriter& w) const override;
   Status Deserialize(const DirectPhase& ph, ByteReader& r) override;
 
@@ -103,7 +102,7 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
   // Drives DrainTx and the polling state machine (enter / re-arm / exit).
   Status DrainRound(const Phase& ph);
   // The self-rescheduled poll event; `gen` guards against stale events
-  // surviving an exit/Reset/restore.
+  // surviving an exit or restore.
   void PollTx(const SerialPhase& ph, uint64_t gen);
 
   void Enqueue(const net::Frame& frame);

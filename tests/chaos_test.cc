@@ -22,8 +22,8 @@
 #include "src/fault/fault.h"
 #include "src/guest/programs.h"
 #include "src/migrate/migrate.h"
-#include "src/util/crc32.h"
 #include "src/verify/audit.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -36,29 +36,6 @@ using core::VmState;
 
 constexpr char kLinkSite[] = "migrate:link";
 constexpr char kHostSite[] = "src:host";
-
-Vm* Boot(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
-// Digest of guest RAM: presence map + contents of every present page.
-uint32_t RamDigest(Vm& vm) {
-  mem::GuestMemory& mem = vm.memory();
-  uint32_t crc = 0;
-  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-    uint8_t present = mem.IsPresent(gpn) ? 1 : 0;
-    crc = Crc32(&present, 1, crc);
-    if (present) {
-      crc = Crc32(mem.PageData(gpn), isa::kPageSize, crc);
-    }
-  }
-  return crc;
-}
 
 // Fault-tolerance knobs scaled down so even retry-heavy seeds finish fast.
 migrate::MigrateOptions ChaosOptions(fault::FaultInjector* inj) {
@@ -101,7 +78,7 @@ ChaosOutcome RunChaos(uint64_t seed, bool post_copy) {
   std::string prog = post_copy
                          ? guest::PatternFillProgram(96, 16, static_cast<uint32_t>(seed))
                          : guest::IdleTickProgram(200'000);
-  Vm* vm = Boot(src, VmConfig{.name = "chaos"}, prog);
+  Vm* vm = BootVm(src, VmConfig{.name = "chaos"}, prog);
   src.RunFor(10 * kSimTicksPerMs);
   EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
 
@@ -173,7 +150,7 @@ TEST(ChaosTest, PreCopySurvivesOneTransientLinkFailure) {
   fault::FaultInjector inj(plan);
 
   Host src, dst;
-  Vm* vm = Boot(src, VmConfig{.name = "one-loss"}, guest::IdleTickProgram(200'000));
+  Vm* vm = BootVm(src, VmConfig{.name = "one-loss"}, guest::IdleTickProgram(200'000));
   src.RunFor(10 * kSimTicksPerMs);
 
   migrate::MigrationReport report;
@@ -186,7 +163,7 @@ TEST(ChaosTest, PreCopySurvivesOneTransientLinkFailure) {
   // The fault-free control run moves the same pages with no retries and
   // strictly less wire traffic.
   Host src2, dst2;
-  Vm* vm2 = Boot(src2, VmConfig{.name = "one-loss"}, guest::IdleTickProgram(200'000));
+  Vm* vm2 = BootVm(src2, VmConfig{.name = "one-loss"}, guest::IdleTickProgram(200'000));
   src2.RunFor(10 * kSimTicksPerMs);
   migrate::MigrationReport control;
   ASSERT_TRUE(migrate::PreCopyMigrate(src2, vm2, dst2, ChaosOptions(nullptr), &control).ok());
@@ -201,7 +178,7 @@ TEST(ChaosTest, PreCopyAbortsCleanlyUnderTotalLoss) {
   fault::FaultInjector inj(plan);
 
   Host src, dst;
-  Vm* vm = Boot(src, VmConfig{.name = "dead-link"}, guest::IdleTickProgram(200'000));
+  Vm* vm = BootVm(src, VmConfig{.name = "dead-link"}, guest::IdleTickProgram(200'000));
   src.RunFor(10 * kSimTicksPerMs);
 
   migrate::MigrationReport report;
@@ -235,7 +212,7 @@ TEST(ChaosTest, PostCopyLinkDownHitsRunLimitAndRollsBack) {
   fault::FaultInjector inj(plan);
 
   Host src, dst;
-  Vm* vm = Boot(src, VmConfig{.name = "pc-dead"},
+  Vm* vm = BootVm(src, VmConfig{.name = "pc-dead"},
                 guest::PatternFillProgram(96, 16, 7));
   src.RunFor(10 * kSimTicksPerMs);
 
@@ -260,7 +237,7 @@ TEST(ChaosTest, PostCopyLinkDownHitsRunLimitAndRollsBack) {
 // migration still converges and the report counts the expiries.
 TEST(ChaosTest, RoundTimeoutCarriesRemainderForward) {
   Host src, dst;
-  Vm* vm = Boot(src, VmConfig{.name = "slow"}, guest::IdleTickProgram(200'000));
+  Vm* vm = BootVm(src, VmConfig{.name = "slow"}, guest::IdleTickProgram(200'000));
   src.RunFor(10 * kSimTicksPerMs);
 
   migrate::MigrateOptions options;  // fault-free, 1 Gb/s default link
@@ -327,7 +304,7 @@ SmpChaosOutcome RunSmpChaos(uint64_t seed) {
   cfg.ram_bytes = 8u << 20;
   cfg.num_vcpus = 4;
   cfg.paging_mode = mmu::PagingMode::kNested;
-  Vm* vm = Boot(src, cfg, prog);
+  Vm* vm = BootVm(src, cfg, prog);
   src.RunFor(4 * kSimTicksPerMs);  // migration lands inside the gauntlet
   EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
 

@@ -21,8 +21,8 @@
 #include "src/core/host.h"
 #include "src/fault/fault.h"
 #include "src/guest/programs.h"
-#include "src/util/crc32.h"
 #include "tests/test_phase.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -46,39 +46,6 @@ Vm* Boot(Cluster& cluster, VmConfig config, const std::string& source,
   return *vm;
 }
 
-Vm* BootHost(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
-uint32_t ReadProgress(Vm* vm, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok());
-  auto addr = guest::ProgressAddress(*image);
-  EXPECT_TRUE(addr.ok());
-  auto v = vm->memory().ReadU32(*addr);
-  EXPECT_TRUE(v.ok());
-  return v.value_or(0);
-}
-
-// Digest of guest RAM: presence map + contents of every present page.
-uint32_t RamDigest(Vm& vm) {
-  mem::GuestMemory& mem = vm.memory();
-  uint32_t crc = 0;
-  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-    uint8_t present = mem.IsPresent(gpn) ? 1 : 0;
-    crc = Crc32(&present, 1, crc);
-    if (present) {
-      crc = Crc32(mem.PageData(gpn), isa::kPageSize, crc);
-    }
-  }
-  return crc;
-}
-
 // --- Degeneracy ------------------------------------------------------------
 
 // A cluster of one host must be the standalone host: the domain round loop
@@ -89,8 +56,8 @@ TEST(ClusterTest, ClusterOfOneMatchesStandaloneHost) {
   std::string idle = guest::IdleTickProgram(200'000);
 
   Host alone((HostConfig{.name = "solo", .worker_threads = 0}));
-  Vm* a0 = BootHost(alone, VmConfig{.name = "c"}, compute);
-  Vm* a1 = BootHost(alone, VmConfig{.name = "i"}, idle);
+  Vm* a0 = BootVm(alone, VmConfig{.name = "c"}, compute);
+  Vm* a1 = BootVm(alone, VmConfig{.name = "i"}, idle);
   alone.RunFor(20 * kSimTicksPerMs);
 
   ClusterConfig cc;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/balloon/balloon.h"
 #include "tests/test_phase.h"
@@ -14,6 +16,7 @@
 #include "src/snapshot/snapshot.h"
 #include "src/util/crc32.h"
 #include "src/util/histogram.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -24,26 +27,6 @@ using core::IoModel;
 using core::Vm;
 using core::VmConfig;
 using core::VmState;
-
-// Loads `source` into a fresh VM on `host`.
-Vm* BootVm(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
-uint32_t ReadProgress(Vm* vm, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok());
-  auto addr = guest::ProgressAddress(*image);
-  EXPECT_TRUE(addr.ok());
-  auto v = vm->memory().ReadU32(*addr);
-  EXPECT_TRUE(v.ok());
-  return v.value_or(0);
-}
 
 TEST(HostVmTest, HelloWorldPrintsAndShutsDown) {
   Host host;
@@ -534,29 +517,43 @@ TEST(SnapshotTest, WarmTranslationsPrimeRestoredClone) {
   EXPECT_EQ((*restored)->vcpu(0).state.instret, vm->vcpu(0).state.instret);
 }
 
-TEST(SnapshotTest, LegacyV1ImageStillRestores) {
-  // Backward compatibility: a v1-format snapshot (no feature-bits word, no
-  // translation sections) must still restore on the current code -- the
-  // clone just starts cold.
+TEST(SnapshotTest, UnsupportedVersionRejected) {
+  // Only the current layout restores. An image that claims an older (v1) or
+  // a future (v3) version is refused before any target state is touched.
   Host host;
-  constexpr uint32_t kIters = 600000;
-  std::string prog = guest::ComputeProgram(kIters);
-  Vm* vm = WarmPausedVm(host, "v1src", prog);
-
-  snapshot::SaveOptions opts;
-  opts.legacy_v1 = true;
-  auto bytes = snapshot::SaveVm(*vm, opts);
+  Vm* vm = BootVm(host, VmConfig{.name = "vsrc"}, guest::ComputeProgram(100000));
+  host.RunFor(2 * kSimTicksPerMs);
+  vm->Pause(TestPhase());
+  auto bytes = snapshot::SaveVm(*vm);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_EQ((*bytes)[4], 2u);  // the version word follows the magic
 
-  auto restored = snapshot::CloneVm(host, WarmDbtConfig("v1dst"), *bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->vcpu(0).stats.persist_hits, 0u);
-  EXPECT_EQ((*restored)->vcpu(0).stats.persist_misses, 0u);
+  Vm* target = BootVm(host, VmConfig{.name = "vdst"}, guest::HelloProgram("target\n"));
+  ASSERT_TRUE(host.RunUntilVmStops(target, 10 * kSimTicksPerSec));
+  const cpu::CpuState before = target->vcpu(0).state;
+  const uint32_t digest_before = RamDigest(*target);
+  const std::string console_before = target->console();
+  const VmState state_before = target->state();
 
-  ASSERT_TRUE(host.RunUntilVmStops(*restored, 30 * kSimTicksPerSec));
-  EXPECT_EQ((*restored)->state(), VmState::kShutdown);
-  EXPECT_EQ(ReadProgress(*restored, prog), kIters);
-  EXPECT_GT((*restored)->vcpu(0).stats.blocks_translated, 0u);  // cold start
+  for (uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> image = *bytes;
+    for (int i = 0; i < 4; ++i) {
+      image[4 + i] = static_cast<uint8_t>(version >> (8 * i));
+    }
+    // Re-seal the outer CRC so only the version check can refuse the image.
+    uint32_t crc = Crc32(image.data(), image.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      image[image.size() - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    EXPECT_EQ(snapshot::LoadVm(*target, image).code(), StatusCode::kUnimplemented);
+    EXPECT_EQ(target->vcpu(0).state.regs, before.regs);
+    EXPECT_EQ(target->vcpu(0).state.pc, before.pc);
+    EXPECT_EQ(target->vcpu(0).state.instret, before.instret);
+    EXPECT_EQ(RamDigest(*target), digest_before);
+    EXPECT_EQ(target->console(), console_before);
+    EXPECT_EQ(target->state(), state_before);
+  }
 }
 
 // Chaos: a torn write inside the persisted translation section. The outer

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -734,6 +735,118 @@ TEST(ShadowPagingTest, PtWritesTrap) {
   EXPECT_GT(m.virt().stats().pt_write_traps, 50u);
 }
 
+TEST(ShadowPagingTest, RootLruEvictionMatchesAcrossConfigs) {
+  // Ten address spaces cycled round-robin overflow the shadow root cache
+  // (8 roots), so every pass evicts the least recently used root and later
+  // rebuilds it. Each visit also retargets another space's leaf PTE, a write
+  // to a PT page that a cached root may or may not still derive from. Every
+  // paging/engine combination must end in the same architectural state.
+  constexpr uint32_t kShadowMaxRoots = 8;
+  const std::string program = std::string(kPagingBoot) + R"(
+.equ NSPACES, 10
+.equ ROOTS, 0xA0000
+.equ L2S, 0xB0000
+.equ DATA, 0xC0000
+    ; Space i: identity superpage, MMIO window, and va 0x400000 mapped
+    ; through its own L2 page to its own data page.
+    li t0, ROOTS
+    li t1, L2S
+    li t2, DATA + 0x6F
+    li s0, NSPACES
+build:
+    li t3, 0x7F
+    sw t3, 0(t0)
+    li t3, 0xF0000067
+    sw t3, 3840(t0)       ; entry 960
+    ori t3, t1, 1
+    sw t3, 4(t0)          ; entry 1 -> this space's L2
+    sw t2, 0(t1)          ; L2[0] -> this space's data page
+    li t3, 0x1000
+    add t0, t0, t3
+    add t1, t1, t3
+    add t2, t2, t3
+    addi s0, s0, -1
+    bnez s0, build
+
+    li s1, 4              ; passes
+    li s3, 0              ; checksum
+pass:
+    li s0, 0              ; space index
+    li s2, 0xA0           ; its root page number
+space:
+    csrw ptbr, s2
+    li t0, 0x400000
+    lw t1, 0(t0)
+    add t1, t1, s0
+    addi t1, t1, 1
+    sw t1, 0(t0)
+    ; Flip the leaf of space (i+5) mod NSPACES between DATA and DATA+0x10000.
+    addi t2, s0, 5
+    li t3, NSPACES
+    blt t2, t3, near
+    sub t2, t2, t3
+near:
+    slli t2, t2, 12
+    li t3, L2S
+    add t2, t2, t3
+    lw t3, 0(t2)
+    li a0, 0x10000
+    xor t3, t3, a0
+    sw t3, 0(t2)
+    sfence
+    addi s2, s2, 1
+    addi s0, s0, 1
+    li t3, NSPACES
+    bne s0, t3, space
+    ; Re-enter the first space and fold its data word into the checksum.
+    li t3, 0xA0
+    csrw ptbr, t3
+    lw t1, 0(t0)
+    add s3, s3, t1
+    addi s1, s1, -1
+    bnez s1, pass
+    halt
+  )";
+
+  struct Outcome {
+    std::array<uint32_t, isa::kNumGprs> regs;
+    uint32_t pc;
+    uint32_t ram_crc;
+  };
+  std::vector<Outcome> outcomes;
+  for (const MachineParam& p : AllMachineParams()) {
+    if (p.virt_mode != VirtMode::kHardwareAssist) {
+      continue;
+    }
+    SCOPED_TRACE(std::string(p.paging == PagingMode::kShadow ? "shadow" : "nested") +
+                 (p.engine == EngineKind::kDbt ? "/dbt" : "/interp"));
+    TestMachine m(8u << 20, p.paging, p.engine, p.virt_mode);
+    m.Load(program);
+    m.RunToHalt(100'000'000);
+    if (p.paging == PagingMode::kShadow) {
+      EXPECT_GT(m.virt().stats().root_builds, kShadowMaxRoots);
+    }
+    verify::AuditReport report;
+    verify::AuditMmuCoherence(m.virt(), /*paging=*/true, /*ptbr=*/0xA0, &report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+
+    uint32_t crc = 0;
+    for (uint32_t gpn = 0; gpn < m.memory().num_pages(); ++gpn) {
+      if (m.memory().IsPresent(gpn)) {
+        crc = Crc32(m.memory().PageData(gpn), isa::kPageSize, crc);
+      }
+    }
+    outcomes.push_back({m.ctx().state.regs, m.ctx().state.pc, crc});
+  }
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_NE(outcomes[0].regs[isa::kS3], 0u);
+  for (const Outcome& o : outcomes) {
+    EXPECT_EQ(o.regs, outcomes[0].regs);
+    EXPECT_EQ(o.pc, outcomes[0].pc);
+    EXPECT_EQ(o.ram_crc, outcomes[0].ram_crc);
+  }
+}
+
 TEST(NestedPagingTest, PtWritesDoNotTrap) {
   TestMachine m(8u << 20, PagingMode::kNested, EngineKind::kInterpreter,
                 VirtMode::kHardwareAssist);
@@ -873,7 +986,7 @@ again:
     halt
 )";
   TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt, VirtMode::kHardwareAssist,
-                /*dbt_max_blocks=*/8);
+                cpu::DbtOptions{.max_blocks = 8});
   m.Load(source);
   m.RunToHalt();
   EXPECT_EQ(m.Reg(isa::kA0), 5u * kBlocks);
@@ -893,8 +1006,7 @@ cpu::DbtOptions LowTier2Threshold() {
 
 TestMachine MakeTier2Machine() {
   return TestMachine(1u << 20, PagingMode::kNested, EngineKind::kDbt,
-                     VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0,
-                     LowTier2Threshold());
+                     VirtMode::kHardwareAssist, LowTier2Threshold());
 }
 
 // A data-dependent compute loop: enough ALU work per iteration that tier-2's
@@ -1206,7 +1318,7 @@ TEST(Tier2Test, Tier1OnlyOptionDisablesPromotion) {
   cpu::DbtOptions o;
   o.enable_tier2 = false;
   TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt,
-                VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, o);
+                VirtMode::kHardwareAssist, o);
   m.Load(kComputeLoop);
   m.RunToHalt(100'000'000);
   EXPECT_EQ(m.ctx().stats.tier2_promotions, 0u);

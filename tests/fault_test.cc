@@ -17,6 +17,7 @@
 #include "src/storage/block_store.h"
 #include "src/storage/byte_store.h"
 #include "src/virtio/virtio_blk.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion::fault {
 namespace {
@@ -391,15 +392,6 @@ TEST(SwitchFaultTest, PartitionBlocksBothDirectionsDuringWindow) {
 // Block devices surface injected I/O errors to a running guest
 // ---------------------------------------------------------------------------
 
-core::Vm* Boot(core::Host& host, core::VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
 TEST(DeviceFaultTest, VirtioBlkReportsIoErrStatusToGuest) {
   FaultPlan plan;
   plan.AddWriteError("vm:disk", 1);  // the second request fails
@@ -416,7 +408,7 @@ TEST(DeviceFaultTest, VirtioBlkReportsIoErrStatusToGuest) {
   p.sectors = 1;
   p.batch = 1;
   p.write = true;
-  core::Vm* vm = Boot(host, cfg, guest::VirtioBlkProgram(p));
+  core::Vm* vm = BootVm(host, cfg, guest::VirtioBlkProgram(p));
   ASSERT_TRUE(host.RunUntilVmStops(vm, kSimTicksPerSec));
 
   // The guest survived the error (completed both kicks and shut down), and
@@ -446,7 +438,7 @@ TEST(DeviceFaultTest, EmulatedBlkSignalsErrorAndGuestContinues) {
   p.iterations = 3;
   p.sectors = 1;
   p.write = false;
-  core::Vm* vm = Boot(host, cfg, guest::EmulatedBlkProgram(p));
+  core::Vm* vm = BootVm(host, cfg, guest::EmulatedBlkProgram(p));
   ASSERT_TRUE(host.RunUntilVmStops(vm, kSimTicksPerSec));
 
   // The completion interrupt fired despite the error (the guest's wfi did

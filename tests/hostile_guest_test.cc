@@ -5,6 +5,7 @@
 
 #include "src/core/host.h"
 #include "src/guest/programs.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -14,15 +15,6 @@ using core::IoModel;
 using core::Vm;
 using core::VmConfig;
 using core::VmState;
-
-Vm* Boot(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
 
 // The common prologue that points tvec at a counting handler so guest-level
 // faults do not crash the VM outright.
@@ -50,7 +42,7 @@ _start:
 
 TEST(HostileGuestTest, WildMemoryAccessesFaultTheGuestOnly) {
   Host host;
-  Vm* vm = Boot(host, VmConfig{.name = "wild"}, std::string(kFaultTolerantBoot) + R"(
+  Vm* vm = BootVm(host, VmConfig{.name = "wild"}, std::string(kFaultTolerantBoot) + R"(
     li t0, 0xE0000000     ; far past RAM, below MMIO
     lw a0, 0(t0)
     sw a0, 0(t0)
@@ -69,7 +61,7 @@ TEST(HostileGuestTest, WildMemoryAccessesFaultTheGuestOnly) {
 
 TEST(HostileGuestTest, UnmappedMmioFaultsGuest) {
   Host host;
-  Vm* vm = Boot(host, VmConfig{.name = "mmio"}, std::string(kFaultTolerantBoot) + R"(
+  Vm* vm = BootVm(host, VmConfig{.name = "mmio"}, std::string(kFaultTolerantBoot) + R"(
     li t0, 0xF0500000     ; inside the MMIO window, no device
     lw a0, 0(t0)
     sw a0, 0(t0)
@@ -88,7 +80,7 @@ TEST(HostileGuestTest, VirtioRingPointingOutsideRamFailsSafely) {
   cfg.disk_model = IoModel::kParavirt;
   cfg.disk = disk;
   // Configure the queue with ring addresses far past RAM, then kick.
-  Vm* vm = Boot(host, cfg, R"(
+  Vm* vm = BootVm(host, cfg, R"(
 .org 0x1000
 _start:
     li gp, 0xF0100000
@@ -121,7 +113,7 @@ TEST(HostileGuestTest, VirtioDescriptorChainLoopRejected) {
   VmConfig cfg{.name = "loop-ring"};
   cfg.disk_model = IoModel::kParavirt;
   cfg.disk = disk;
-  Vm* vm = Boot(host, cfg, R"(
+  Vm* vm = BootVm(host, cfg, R"(
 .org 0x20000
 ; desc 0 -> desc 1 -> desc 0 (loop)
 .word 0x30000, 16, 0x00010001    ; gpa, len, flags=NEXT next=1
@@ -162,7 +154,7 @@ _start:
 TEST(HostileGuestTest, BalloonAbuseIsBounded) {
   Host host;
   // Inflate pages that do not exist and deflate pages that are present.
-  Vm* vm = Boot(host, VmConfig{.name = "balloon-abuse"}, R"(
+  Vm* vm = BootVm(host, VmConfig{.name = "balloon-abuse"}, R"(
 .org 0x1000
 _start:
     li a0, 5
@@ -195,10 +187,10 @@ TEST(HostileGuestTest, RunawayGuestCannotStarveOthers) {
   hc.num_pcpus = 1;
   Host host(hc);
   // A tight infinite loop that never yields...
-  Vm* hog = Boot(host, VmConfig{.name = "hog"}, ".org 0x1000\nspin: j spin\n");
+  Vm* hog = BootVm(host, VmConfig{.name = "hog"}, ".org 0x1000\nspin: j spin\n");
   // ...must not prevent a sibling from finishing.
   std::string prog = guest::ComputeProgram(50);
-  Vm* victim = Boot(host, VmConfig{.name = "victim"}, prog);
+  Vm* victim = BootVm(host, VmConfig{.name = "victim"}, prog);
   ASSERT_TRUE(host.RunUntilVmStops(victim, kSimTicksPerSec));
   EXPECT_EQ(victim->state(), VmState::kShutdown);
   EXPECT_EQ(hog->state(), VmState::kRunning);
@@ -210,8 +202,8 @@ TEST(HostileGuestTest, StackSmashIntoPageTablesOnlyHurtsSelf) {
   // crashes itself (fetch faults with a clobbered handler) but the host and
   // a sibling VM continue untouched.
   std::string prog = guest::ComputeProgram(200);
-  Vm* good = Boot(host, VmConfig{.name = "good"}, prog);
-  Vm* evil = Boot(host, {.name = "evil", .ram_bytes = 8u << 20},
+  Vm* good = BootVm(host, VmConfig{.name = "good"}, prog);
+  Vm* evil = BootVm(host, {.name = "evil", .ram_bytes = 8u << 20},
                   std::string(guest::PagingBootPrelude().insert(0, ".org 0x1000\n_start:\n")) + R"(
     li t0, 0x80000
     li t1, 0
@@ -234,7 +226,7 @@ TEST(HostileGuestTest, PioDeviceAbuse) {
   cfg.disk = disk;
   // Data-port access outside a transfer and commands while busy fault the
   // guest (handled), never the host.
-  Vm* vm = Boot(host, cfg, std::string(kFaultTolerantBoot) + R"(
+  Vm* vm = BootVm(host, cfg, std::string(kFaultTolerantBoot) + R"(
     li gp, 0xF0010000
     li t1, 8
     sw t1, 0x04(gp)        ; COUNT=8

@@ -9,8 +9,8 @@
 #include "src/guest/programs.h"
 #include "src/migrate/migrate.h"
 #include "src/snapshot/snapshot.h"
-#include "src/util/crc32.h"
 #include "src/util/rng.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -22,21 +22,12 @@ using core::Vm;
 using core::VmConfig;
 using core::VmState;
 
-Vm* Boot(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
 TEST(MigrateZeroPageTest, ElisionShrinksWireBytes) {
   auto run = [](bool skip_zero) {
     Host src, dst;
     // A small working set in a mostly-zero 4 MiB VM.
     std::string prog = guest::DirtyRateProgram(16, 5000);
-    Vm* vm = Boot(src, VmConfig{.name = "z"}, prog);
+    Vm* vm = BootVm(src, VmConfig{.name = "z"}, prog);
     src.RunFor(10 * kSimTicksPerMs);
     migrate::MigrateOptions options;
     options.skip_zero_pages = skip_zero;
@@ -68,7 +59,7 @@ TEST(MigrateIoTest, PreCopyMigratesAVmDoingDiskIo) {
   p.batch = 2;
   p.write = true;
   std::string prog = guest::VirtioBlkProgram(p);
-  Vm* vm = Boot(src, cfg, prog);
+  Vm* vm = BootVm(src, cfg, prog);
   src.RunFor(20 * kSimTicksPerMs);
   ASSERT_EQ(vm->state(), VmState::kRunning);
   uint64_t sectors_before = vm->virtio_blk()->blk_stats().sectors;
@@ -97,7 +88,7 @@ TEST(MigrateIoTest, PostCopyMigratesAVmDoingDiskIo) {
   p.batch = 2;
   p.write = true;
   std::string prog = guest::VirtioBlkProgram(p);
-  Vm* vm = Boot(src, cfg, prog);
+  Vm* vm = BootVm(src, cfg, prog);
   src.RunFor(20 * kSimTicksPerMs);
 
   migrate::MigrationReport report;
@@ -111,7 +102,7 @@ TEST(MigrateIoTest, PostCopyMigratesAVmDoingDiskIo) {
 
 TEST(MigrateStateTest, ConsoleAndLogsSurviveMigration) {
   Host src, dst;
-  Vm* vm = Boot(src, VmConfig{.name = "st"}, R"(
+  Vm* vm = BootVm(src, VmConfig{.name = "st"}, R"(
 .org 0x1000
 _start:
     li a0, 1
@@ -140,7 +131,7 @@ msg:
 TEST(MigrateStateTest, BalloonedPagesStayAbsentAcrossPreCopy) {
   Host src, dst;
   std::string prog = guest::BalloonDriverProgram(512, 512, 50000);
-  Vm* vm = Boot(src, VmConfig{.name = "bal-mig"}, prog);
+  Vm* vm = BootVm(src, VmConfig{.name = "bal-mig"}, prog);
   vm->SetBalloonTarget(64);
   src.RunFor(100 * kSimTicksPerMs);
   ASSERT_EQ(vm->ballooned_pages(), 64u);
@@ -164,20 +155,6 @@ TEST(MigrateStateTest, BalloonedPagesStayAbsentAcrossPreCopy) {
 // in-handler flags, ack words — or some vCPU ends up spinning on an ack that
 // will never arrive and the guest never reaches its shutdown hypercall.
 // ---------------------------------------------------------------------------
-
-// Digest of guest RAM: presence map + contents of every present page.
-uint32_t SmpRamDigest(Vm& vm) {
-  mem::GuestMemory& mem = vm.memory();
-  uint32_t crc = 0;
-  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-    uint8_t present = mem.IsPresent(gpn) ? 1 : 0;
-    crc = Crc32(&present, 1, crc);
-    if (present) {
-      crc = Crc32(mem.PageData(gpn), isa::kPageSize, crc);
-    }
-  }
-  return crc;
-}
 
 guest::SmpLockParams SmpGauntletParams() {
   guest::SmpLockParams p;
@@ -206,7 +183,7 @@ TEST(MigrateSmpTest, PreCopyMovesAFourVcpuVmMidShootdown) {
   Host src(SmpHostConfig()), dst(SmpHostConfig());
   guest::SmpLockParams params = SmpGauntletParams();
   std::string prog = guest::SmpMcsLockProgram(params);
-  Vm* vm = Boot(src, SmpVmConfig("smp-mig"), prog);
+  Vm* vm = BootVm(src, SmpVmConfig("smp-mig"), prog);
   src.RunFor(4 * kSimTicksPerMs);
   ASSERT_EQ(vm->state(), VmState::kRunning);
 
@@ -216,7 +193,7 @@ TEST(MigrateSmpTest, PreCopyMovesAFourVcpuVmMidShootdown) {
   // Fidelity at the switchover point: the paused source and the not-yet-run
   // destination hold identical RAM.
   EXPECT_EQ(vm->state(), VmState::kPaused);
-  EXPECT_EQ(SmpRamDigest(*vm), SmpRamDigest(**moved));
+  EXPECT_EQ(RamDigest(*vm), RamDigest(**moved));
 
   // The destination finishes the gauntlet: every post-restore shootdown
   // round completes, so no vCPU is left spinning on a dead ack.
@@ -245,7 +222,7 @@ TEST(MigrateSmpTest, SnapshotClonesAFourVcpuVmMidShootdown) {
   std::string prog = guest::SmpMcsLockProgram(params);
   auto image = guest::Build(prog);
   uint32_t progress_addr = *guest::ProgressAddress(*image);
-  Vm* vm = Boot(host, SmpVmConfig("smp-snap"), prog);
+  Vm* vm = BootVm(host, SmpVmConfig("smp-snap"), prog);
   host.RunFor(10 * kSimTicksPerMs);
   ASSERT_EQ(vm->state(), VmState::kRunning);
   vm->Pause(TestPhase());
@@ -271,7 +248,7 @@ TEST(MigrateSmpTest, SnapshotClonesAFourVcpuVmMidShootdown) {
   const uint32_t want = params.num_vcpus * params.lock_iters;
   EXPECT_EQ(vm->memory().ReadU32(progress_addr).value_or(0), want);
   EXPECT_EQ((*clone)->memory().ReadU32(progress_addr).value_or(0), want);
-  EXPECT_EQ(SmpRamDigest(*vm), SmpRamDigest(**clone));
+  EXPECT_EQ(RamDigest(*vm), RamDigest(**clone));
 }
 
 // Property: random corruption of a valid snapshot must never crash the
@@ -279,7 +256,7 @@ TEST(MigrateSmpTest, SnapshotClonesAFourVcpuVmMidShootdown) {
 // 4-byte CRC trailer itself being the corrupted region, still fails cleanly.
 TEST(SnapshotFuzzTest, RandomCorruptionIsAlwaysRejectedCleanly) {
   Host host;
-  Vm* vm = Boot(host, VmConfig{.name = "fz"}, guest::ComputeProgram(500));
+  Vm* vm = BootVm(host, VmConfig{.name = "fz"}, guest::ComputeProgram(500));
   host.RunFor(2 * kSimTicksPerMs);
   vm->Pause(TestPhase());
   auto snap = snapshot::SaveVm(*vm);
@@ -292,7 +269,7 @@ TEST(SnapshotFuzzTest, RandomCorruptionIsAlwaysRejectedCleanly) {
     for (int f = 0; f < flips; ++f) {
       corrupt[rng.NextBelow(corrupt.size())] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
     }
-    Vm* target = Boot(host, VmConfig{.name = "t" + std::to_string(trial)},
+    Vm* target = BootVm(host, VmConfig{.name = "t" + std::to_string(trial)},
                       guest::ComputeProgram(1));
     target->Pause(TestPhase());
     Status st = snapshot::LoadVm(*target, corrupt);
@@ -304,7 +281,7 @@ TEST(SnapshotFuzzTest, RandomCorruptionIsAlwaysRejectedCleanly) {
 // Property: truncating a snapshot anywhere must also fail cleanly.
 TEST(SnapshotFuzzTest, TruncationIsAlwaysRejected) {
   Host host;
-  Vm* vm = Boot(host, VmConfig{.name = "tr"}, guest::ComputeProgram(100));
+  Vm* vm = BootVm(host, VmConfig{.name = "tr"}, guest::ComputeProgram(100));
   vm->Pause(TestPhase());
   auto snap = snapshot::SaveVm(*vm);
   ASSERT_TRUE(snap.ok());
@@ -313,7 +290,7 @@ TEST(SnapshotFuzzTest, TruncationIsAlwaysRejected) {
   for (int trial = 0; trial < 50; ++trial) {
     size_t keep = rng.NextBelow(snap->size());
     std::vector<uint8_t> cut(snap->begin(), snap->begin() + static_cast<ptrdiff_t>(keep));
-    Vm* target = Boot(host, VmConfig{.name = "u" + std::to_string(trial)},
+    Vm* target = BootVm(host, VmConfig{.name = "u" + std::to_string(trial)},
                       guest::ComputeProgram(1));
     target->Pause(TestPhase());
     EXPECT_FALSE(snapshot::LoadVm(*target, cut).ok()) << "kept " << keep;

@@ -7,12 +7,10 @@
 // their WILL_FAIL results are meaningless.
 
 #include <span>
-#include <string>
 
 #include "src/devices/pic.h"
 #include "src/mem/frame_pool.h"
 #include "src/net/network.h"
-#include "src/util/logging.h"
 #include "src/util/phase.h"
 #include "src/util/sim_clock.h"
 
@@ -27,7 +25,6 @@ void Control(const SerialPhase& sp, SimClock& clock, net::VirtualSwitch& sw,
   sw.Send(sp, std::move(frame));
   sw.DeliverFromFabric(sp, std::move(fabric_frame), 0);
   pool.DecRefImmediate(sp, f);
-  internal::WriteLogText(sp, std::string("direct log line"));
   sink.OnFrameBurst(sp, frames);
 }
 

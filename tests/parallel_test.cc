@@ -30,8 +30,8 @@
 #include "src/net/network.h"
 #include "src/storage/block_store.h"
 #include "src/virtio/virtio_net.h"
-#include "src/util/crc32.h"
 #include "src/verify/audit.h"
+#include "tests/vm_test_util.h"
 
 namespace hyperion {
 namespace {
@@ -45,29 +45,6 @@ using core::VmState;
 
 constexpr char kLinkSite[] = "migrate:link";
 constexpr char kHostSite[] = "src:host";
-
-Vm* Boot(Host& host, VmConfig config, const std::string& source) {
-  auto image = guest::Build(source);
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  auto vm = host.CreateVm(std::move(config));
-  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  return *vm;
-}
-
-// Digest of guest RAM: presence map + contents of every present page.
-uint32_t RamDigest(Vm& vm) {
-  mem::GuestMemory& mem = vm.memory();
-  uint32_t crc = 0;
-  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-    uint8_t present = mem.IsPresent(gpn) ? 1 : 0;
-    crc = Crc32(&present, 1, crc);
-    if (present) {
-      crc = Crc32(mem.PageData(gpn), isa::kPageSize, crc);
-    }
-  }
-  return crc;
-}
 
 migrate::MigrateOptions FaultyOptions(fault::FaultInjector* inj) {
   migrate::MigrateOptions options;
@@ -120,15 +97,15 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   src.SetFaultInjector(&inj, kHostSite);
 
   std::vector<Vm*> vms;
-  vms.push_back(Boot(src, VmConfig{.name = "compute"}, guest::ComputeProgram(0)));
-  vms.push_back(Boot(src, VmConfig{.name = "idle"}, guest::IdleTickProgram(200'000)));
-  vms.push_back(Boot(src, VmConfig{.name = "dirty"}, guest::DirtyRateProgram(48, 400)));
-  vms.push_back(Boot(src, VmConfig{.name = "fill"},
+  vms.push_back(BootVm(src, VmConfig{.name = "compute"}, guest::ComputeProgram(0)));
+  vms.push_back(BootVm(src, VmConfig{.name = "idle"}, guest::IdleTickProgram(200'000)));
+  vms.push_back(BootVm(src, VmConfig{.name = "dirty"}, guest::DirtyRateProgram(48, 400)));
+  vms.push_back(BootVm(src, VmConfig{.name = "fill"},
                      guest::PatternFillProgram(64, 8, static_cast<uint32_t>(seed))));
 
   VmConfig smp{.name = "smp"};
   smp.num_vcpus = 2;
-  vms.push_back(Boot(src, smp, guest::SmpCounterProgram(100'000)));
+  vms.push_back(BootVm(src, smp, guest::SmpCounterProgram(100'000)));
 
   auto edisk = std::make_shared<storage::MemBlockStore>(256);
   VmConfig eblk{.name = "eblk"};
@@ -138,7 +115,7 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   ep.iterations = 1'000'000;  // effectively forever: I/O flows all scenario
   ep.sectors = 2;
   ep.write = true;
-  vms.push_back(Boot(src, eblk, guest::EmulatedBlkProgram(ep)));
+  vms.push_back(BootVm(src, eblk, guest::EmulatedBlkProgram(ep)));
 
   auto vdisk = std::make_shared<storage::MemBlockStore>(1024);
   VmConfig vblk{.name = "vblk"};
@@ -149,7 +126,7 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   vp.sectors = 4;
   vp.batch = 4;
   vp.write = true;
-  vms.push_back(Boot(src, vblk, guest::VirtioBlkProgram(vp)));
+  vms.push_back(BootVm(src, vblk, guest::VirtioBlkProgram(vp)));
 
   guest::NetParams np;
   np.peer_mac = 2;
@@ -158,11 +135,11 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   VmConfig ping{.name = "ping"};
   ping.net_model = IoModel::kParavirt;
   ping.mac = 1;
-  vms.push_back(Boot(src, ping, guest::VirtioNetPingProgram(np)));
+  vms.push_back(BootVm(src, ping, guest::VirtioNetPingProgram(np)));
   VmConfig echo{.name = "echo"};
   echo.net_model = IoModel::kParavirt;
   echo.mac = 2;
-  vms.push_back(Boot(src, echo, guest::VirtioNetEchoProgram(np.payload_bytes)));
+  vms.push_back(BootVm(src, echo, guest::VirtioNetEchoProgram(np.payload_bytes)));
 
   // A bulk stream/sink pair with the full coalescing data plane engaged:
   // EVENT_IDX completions, kick-suppressed NAPI polling, burst delivery.
@@ -172,11 +149,11 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   VmConfig stream{.name = "stream"};
   stream.net_model = IoModel::kParavirt;
   stream.mac = 3;
-  vms.push_back(Boot(src, stream, guest::VirtioNetStreamProgram(sp)));
+  vms.push_back(BootVm(src, stream, guest::VirtioNetStreamProgram(sp)));
   VmConfig bulk_sink{.name = "sink"};
   bulk_sink.net_model = IoModel::kParavirt;
   bulk_sink.mac = 4;
-  vms.push_back(Boot(src, bulk_sink, guest::VirtioNetSinkProgram(sp)));
+  vms.push_back(BootVm(src, bulk_sink, guest::VirtioNetSinkProgram(sp)));
 
   SimTime unit = short_run ? 2 * kSimTicksPerMs : 10 * kSimTicksPerMs;
   src.RunFor(3 * unit);
@@ -283,9 +260,9 @@ SmpResult RunSmpMcsScenario(int workers) {
   cfg.ram_bytes = 8u << 20;
   cfg.num_vcpus = p.num_vcpus;
   cfg.paging_mode = mmu::PagingMode::kNested;
-  Vm* vm = Boot(host, cfg, prog);
+  Vm* vm = BootVm(host, cfg, prog);
   // A second VM so multi-worker runs genuinely execute concurrent lanes.
-  Vm* other = Boot(host, VmConfig{.name = "compute"}, guest::ComputeProgram(0));
+  Vm* other = BootVm(host, VmConfig{.name = "compute"}, guest::ComputeProgram(0));
   // The MCS gauntlet completes in ~20 simulated ms; 50 ms is deterministic
   // headroom without simulating the compute VM for long after.
   host.RunFor(50 * kSimTicksPerMs);
@@ -338,7 +315,7 @@ TEST(DestroyVmTest, CancelsArmedTimerAndInflightBlockIo) {
   Host host;
 
   // A guest sleeping in wfi with a timer armed well in the future.
-  Vm* sleeper = Boot(host, VmConfig{.name = "sleeper"}, guest::IdleTickProgram(5'000'000));
+  Vm* sleeper = BootVm(host, VmConfig{.name = "sleeper"}, guest::IdleTickProgram(5'000'000));
   host.RunFor(2 * kSimTicksPerMs);
 
   // A VM with a block command mid-flight: start it through the register
@@ -347,7 +324,7 @@ TEST(DestroyVmTest, CancelsArmedTimerAndInflightBlockIo) {
   VmConfig cfg{.name = "io"};
   cfg.disk_model = IoModel::kEmulated;
   cfg.disk = disk;
-  Vm* io = Boot(host, cfg, guest::ComputeProgram(0));
+  Vm* io = BootVm(host, cfg, guest::ComputeProgram(0));
   ASSERT_TRUE(io->emulated_blk()->Write(TestPhase(), 0x00, 4, 0).ok());  // LBA
   ASSERT_TRUE(io->emulated_blk()->Write(TestPhase(), 0x04, 4, 8).ok());  // COUNT
   ASSERT_TRUE(io->emulated_blk()->Write(TestPhase(), 0x08, 4, 2).ok());  // CMD: write
@@ -375,7 +352,7 @@ TEST(DestroyVmTest, CancelsInflightVirtioBlkCompletion) {
   p.sectors = 4;
   p.batch = 2;
   p.write = true;
-  Vm* vm = Boot(host, cfg, guest::VirtioBlkProgram(p));
+  Vm* vm = BootVm(host, cfg, guest::VirtioBlkProgram(p));
   host.RunFor(2 * kSimTicksPerMs);
   ASSERT_EQ(vm->state(), VmState::kRunning) << vm->crash_reason().ToString();
   ASSERT_TRUE(host.DestroyVm(vm).ok());
