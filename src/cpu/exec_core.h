@@ -533,7 +533,7 @@ class ExecCore {
   bool DoLoad(const isa::Instruction& in, uint32_t size, bool sign_extend) {
     CpuState& s = ctx_.state;
     uint32_t va = s.ReadReg(in.rs1) + static_cast<uint32_t>(in.imm);
-    uint32_t v;
+    uint32_t v = 0;
     if (!Load(va, size, &v)) {
       return !exited_;
     }

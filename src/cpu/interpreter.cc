@@ -4,6 +4,8 @@
 
 namespace hyperion::cpu {
 
+Interpreter::Interpreter() { decoded_.fill({0, isa::Decode(0)}); }
+
 RunResult Interpreter::Run(VcpuContext& ctx, uint64_t max_cycles) {
   ExecCore core(ctx, this);
   CpuState& s = ctx.state;
@@ -33,7 +35,11 @@ RunResult Interpreter::Run(VcpuContext& ctx, uint64_t max_cycles) {
     if (!core.Fetch(s.pc, &word)) {
       continue;  // trap vectored or exit latched
     }
-    core.Execute(isa::Decode(word));
+    Slot& slot = decoded_[(s.pc >> 2) & (kDecodeSlots - 1)];
+    if (slot.word != word) {
+      slot = {word, isa::Decode(word)};
+    }
+    core.Execute(slot.in);
   }
   return core.Finish();
 }

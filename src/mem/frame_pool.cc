@@ -2,14 +2,19 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
 
 namespace hyperion::mem {
 
 FramePool::FramePool(size_t num_frames)
-    : memory_(num_frames * isa::kPageSize),
+    : memory_(static_cast<uint8_t*>(std::calloc(num_frames, isa::kPageSize))),
       refcount_(num_frames, 0),
       netbuf_(num_frames, 0),
-      free_count_(num_frames) {}
+      free_count_(num_frames) {
+  if (memory_ == nullptr && num_frames != 0) {  // fail as operator new would
+    throw std::bad_alloc();
+  }
+}
 
 Result<HostFrame> FramePool::AllocateLocked(bool zero) {
   if (free_count_ == 0) {
@@ -24,7 +29,7 @@ Result<HostFrame> FramePool::AllocateLocked(bool zero) {
       refcount_[i] = 1;
       --free_count_;
       if (zero) {
-        std::memset(memory_.data() + i * isa::kPageSize, 0, isa::kPageSize);
+        std::memset(memory_.get() + i * isa::kPageSize, 0, isa::kPageSize);
       }
       return static_cast<HostFrame>(i);
     }
@@ -107,12 +112,12 @@ uint32_t FramePool::RefCount(HostFrame frame) const HYP_NO_THREAD_SAFETY_ANALYSI
 
 uint8_t* FramePool::FrameData(HostFrame frame) {
   assert(IsAllocated(frame));
-  return memory_.data() + static_cast<size_t>(frame) * isa::kPageSize;
+  return memory_.get() + static_cast<size_t>(frame) * isa::kPageSize;
 }
 
 const uint8_t* FramePool::FrameData(HostFrame frame) const {
   assert(IsAllocated(frame));
-  return memory_.data() + static_cast<size_t>(frame) * isa::kPageSize;
+  return memory_.get() + static_cast<size_t>(frame) * isa::kPageSize;
 }
 
 }  // namespace hyperion::mem

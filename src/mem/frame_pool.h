@@ -25,6 +25,8 @@
 #define SRC_MEM_FRAME_POOL_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -140,7 +142,12 @@ class FramePool {
   // these are round-stable (see the file comment).
   mutable std::mutex mu_;
 
-  std::vector<uint8_t> memory_;
+  // calloc-backed so host RAM is committed only as frames are first touched;
+  // Allocate still zeroes each frame it hands out.
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t[], FreeDeleter> memory_;
   std::vector<uint32_t> refcount_ HYP_GUARDED_BY(mu_);
   std::vector<uint8_t> netbuf_ HYP_GUARDED_BY(mu_);  // frame backs a FrameBuf
   size_t netbuf_count_ HYP_GUARDED_BY(mu_) = 0;

@@ -8,27 +8,51 @@ namespace {
 
 constexpr uint32_t kPoly = 0xEDB88320u;  // reflected IEEE polynomial
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// lookups advance the CRC over eight input bytes at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+// Little-endian 32-bit read assembled from bytes: independent of host order.
+inline uint32_t Le32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   const auto* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 8; size -= 8, bytes += 8) {
+    uint32_t lo = crc ^ Le32(bytes);
+    uint32_t hi = Le32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
 }

@@ -7,8 +7,10 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "src/cpu/interpreter.h"
 #include "src/util/cost_model.h"
 #include "src/util/crc32.h"
 #include "tests/test_phase.h"
@@ -914,10 +916,10 @@ loop:
   EXPECT_GT(te.stats.cycles, 2 * hw.stats.cycles);
 }
 
-TEST(DbtTest, SelfModifyingCodeInvalidates) {
-  TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt, VirtMode::kHardwareAssist);
-  // Call `bump` twice; between the calls, patch its addi immediate from 1 to
-  // 2 by rewriting the instruction word. A stale block would add 1 again.
+// Calls `bump` twice; between the calls, patches its addi immediate from 1 to
+// 2 by rewriting the instruction word. A stale translation or decode would add
+// 1 again.
+void RunSelfModifyingBump(TestMachine& m) {
   m.Load(R"(
 _start:
     li sp, 0x40000
@@ -937,7 +939,63 @@ patch_site:
   )");
   m.RunToHalt();
   EXPECT_EQ(m.Reg(isa::kA0), 3u);
+}
+
+TEST(DbtTest, SelfModifyingCodeInvalidates) {
+  TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt, VirtMode::kHardwareAssist);
+  RunSelfModifyingBump(m);
   EXPECT_GT(m.ctx().stats.blocks_translated, 0u);
+}
+
+// The decode cache is keyed by the fetched word, so a patched instruction
+// misses and is decoded afresh.
+TEST(InterpreterTest, SelfModifyingCodeRedecodes) {
+  TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kInterpreter,
+                VirtMode::kHardwareAssist);
+  RunSelfModifyingBump(m);
+}
+
+// Two routines placed exactly one decode-cache span apart share every slot
+// but hold different words; calling them in turn makes each evict the other.
+// The interpreter must end in the same state as the DBT engine.
+TEST(InterpreterTest, AliasedDecodeSlotsMatchDbt) {
+  const uint32_t span = cpu::Interpreter::kDecodeSlots * 4;
+  const std::string src = R"(
+.org 0x1000
+_start:
+    li a0, 0
+    li a1, 1
+    li t1, 50
+loop:
+    call first
+    call second
+    addi t1, t1, -1
+    bnez t1, loop
+    halt
+.org 0x2000
+first:
+    addi a0, a0, 3
+    xor a1, a1, a0
+    ret
+.org )" + std::to_string(0x2000 + span) + R"(
+second:
+    slli a1, a1, 1
+    add a0, a0, a1
+    ret
+)";
+  TestMachine interp(1u << 20, PagingMode::kNested, EngineKind::kInterpreter);
+  interp.Load(src);
+  ASSERT_EQ(interp.Symbol("second") - interp.Symbol("first"), span);
+  interp.RunToHalt();
+
+  TestMachine dbt(1u << 20, PagingMode::kNested, EngineKind::kDbt);
+  dbt.Load(src);
+  dbt.RunToHalt();
+  for (uint8_t r = 0; r < isa::kNumGprs; ++r) {
+    EXPECT_EQ(interp.Reg(r), dbt.Reg(r)) << "r" << static_cast<int>(r);
+  }
+  EXPECT_EQ(interp.ctx().state.instret, dbt.ctx().state.instret);
+  EXPECT_EQ(interp.ctx().state.pc, dbt.ctx().state.pc);
 }
 
 TEST(DbtTest, HotLoopReusesBlocks) {

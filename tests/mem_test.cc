@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/mem/frame_pool.h"
 #include "tests/test_phase.h"
 #include "src/mem/guest_memory.h"
@@ -48,6 +50,23 @@ TEST(FramePoolTest, FramesAreZeroedOnAllocate) {
   for (HostFrame f : {*b, *c}) {
     EXPECT_EQ(pool.FrameData(f)[0], 0);
     EXPECT_EQ(pool.FrameData(f)[kPageSize - 1], 0);
+  }
+}
+
+TEST(FramePoolTest, NetBufFrameIsZeroedWhenReallocatedForGuest) {
+  // Netbuf frames skip zeroing; a guest frame reusing one must not see the
+  // payload left behind.
+  FramePool pool(1);
+  auto nb = pool.AllocateNetBuf();
+  ASSERT_TRUE(nb.ok());
+  std::memset(pool.FrameData(*nb), 0xAB, kPageSize);
+  pool.DecRef(TestPhase(), *nb);
+  auto f = pool.Allocate();
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(*f, *nb);
+  EXPECT_FALSE(pool.IsNetBuf(*f));
+  for (size_t i = 0; i < kPageSize; ++i) {
+    ASSERT_EQ(pool.FrameData(*f)[i], 0) << "byte " << i;
   }
 }
 

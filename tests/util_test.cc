@@ -280,6 +280,35 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
   }
 }
 
+// The textbook bitwise CRC, one byte at a time: the oracle the table-driven
+// Crc32 must match bit for bit (snapshot, HVD and HCT2 images carry it).
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  Xoshiro256 rng(20151004);
+  std::vector<uint8_t> buf(5000 + 64);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (int i = 0; i < 2000; ++i) {
+    size_t len = rng.NextBelow(5001);
+    size_t offset = rng.NextBelow(64);
+    uint32_t seed = i % 4 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32(buf.data() + offset, len, seed),
+              BytewiseCrc32(buf.data() + offset, len, seed))
+        << "len=" << len << " offset=" << offset << " seed=" << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RNG
 // ---------------------------------------------------------------------------
