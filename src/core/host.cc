@@ -1,26 +1,10 @@
 #include "src/core/host.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/fault/fault.h"
 
 namespace hyperion::core {
-
-HostConfig HostConfig::FromEnv() {
-  HostConfig config;
-  config.worker_threads = 0;
-  // The process environment is read-only for the whole run; this is the one
-  // place the core consults it.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("HYPERION_WORKERS")) {
-    int parsed = std::atoi(env);
-    if (parsed > 0) {
-      config.worker_threads = parsed;
-    }
-  }
-  return config;
-}
 
 Host::Host(HostConfig config) : Host(std::move(config), nullptr) {}
 
@@ -108,33 +92,29 @@ sched::EntityId Host::EntityOf(Vm* vm, uint32_t vcpu) const {
 }
 
 void Host::WakeVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) {
-  sched::EntityId id = EntityOf(vm, vcpu);
-  if (id == sched::kIdle) {
-    return;
-  }
-  vm->vcpu(vcpu).state.waiting = false;
-  if (SliceWork* slice = tls_slice_; slice != nullptr && slice->host == this) {
-    // Only an executing lane can be inside a slice for this host.
-    assert(ph.AsExecute() != nullptr);
-    slice->wakes.push_back(WakeOp{vm, vcpu, true});
-    return;
-  }
-  (void)ph;
-  sched_->SetRunnable(id, true, clock().now());
+  SetVcpuRunnable(ph, vm, vcpu, true);
 }
 
 void Host::BlockVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) {
+  SetVcpuRunnable(ph, vm, vcpu, false);
+}
+
+void Host::SetVcpuRunnable(const Phase& ph, Vm* vm, uint32_t vcpu, bool runnable) {
   sched::EntityId id = EntityOf(vm, vcpu);
   if (id == sched::kIdle) {
     return;
   }
+  if (runnable) {
+    vm->vcpu(vcpu).state.waiting = false;
+  }
   if (SliceWork* slice = tls_slice_; slice != nullptr && slice->host == this) {
+    // Only an executing lane can be inside a slice for this host.
     assert(ph.AsExecute() != nullptr);
-    slice->wakes.push_back(WakeOp{vm, vcpu, false});
+    slice->wakes.push_back(WakeOp{vm, vcpu, runnable});
     return;
   }
   (void)ph;
-  sched_->SetRunnable(id, false, clock().now());
+  sched_->SetRunnable(id, runnable, clock().now());
 }
 
 void Host::SetFaultInjector(fault::FaultInjector* injector, std::string site) {

@@ -52,12 +52,6 @@ struct HostConfig {
   // participates too). -1 reads HYPERION_WORKERS at construction (default
   // 0). Simulation results are identical for every setting.
   int worker_threads = -1;
-
-  // Returns a default config with every HYPERION_* environment override
-  // already resolved (currently just HYPERION_WORKERS). The only getenv
-  // calls in the core live in its implementation, so the rest of the run
-  // loop needs no concurrency-mt-unsafe carve-out.
-  static HostConfig FromEnv();
 };
 
 class Host {
@@ -231,6 +225,10 @@ class Host {
   // slice, clears the stages.
   void ExecuteSlice(SliceWork& work);
   void CrashAllVms(const Status& reason);
+
+  // The body of WakeVcpu/BlockVcpu: a wake also clears the vCPU's waiting
+  // flag.
+  void SetVcpuRunnable(const Phase& ph, Vm* vm, uint32_t vcpu, bool runnable);
 
   // Set while this thread executes a slice for this host; WakeVcpu/BlockVcpu
   // append to its wake list instead of touching the scheduler.

@@ -1,6 +1,7 @@
 #include "src/core/time_domain.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 
 #include "src/core/host.h"
@@ -9,12 +10,17 @@ namespace hyperion::core {
 
 namespace {
 
+// -1 reads HYPERION_WORKERS (unset or non-positive: 0). The process
+// environment is read-only for the whole run; this is the one place the
+// core consults it.
 uint32_t ResolveWorkerThreads(int configured) {
   if (configured >= 0) {
     return static_cast<uint32_t>(configured);
   }
-  int from_env = HostConfig::FromEnv().worker_threads;
-  return from_env > 0 ? static_cast<uint32_t>(from_env) : 0;
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  const char* env = std::getenv("HYPERION_WORKERS");
+  int parsed = env != nullptr ? std::atoi(env) : 0;
+  return parsed > 0 ? static_cast<uint32_t>(parsed) : 0;
 }
 
 }  // namespace

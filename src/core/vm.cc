@@ -406,30 +406,7 @@ bool Vm::AllVcpusHalted() const {
 cpu::VcpuStats Vm::TotalStats() const {
   cpu::VcpuStats total;
   for (const auto& u : vcpus_) {
-    const cpu::VcpuStats& s = u->ctx.stats;
-    total.instructions += s.instructions;
-    total.cycles += s.cycles;
-    total.mmio_exits += s.mmio_exits;
-    total.hypercalls += s.hypercalls;
-    total.pt_write_exits += s.pt_write_exits;
-    total.cow_breaks += s.cow_breaks;
-    total.wfi_exits += s.wfi_exits;
-    total.priv_emulations += s.priv_emulations;
-    total.guest_traps += s.guest_traps;
-    total.interrupts_delivered += s.interrupts_delivered;
-    total.dirty_first_writes += s.dirty_first_writes;
-    total.blocks_translated += s.blocks_translated;
-    total.block_executions += s.block_executions;
-    total.chain_hits += s.chain_hits;
-    total.traces_formed += s.traces_formed;
-    total.trace_executions += s.trace_executions;
-    total.mem_fastpath_hits += s.mem_fastpath_hits;
-    total.mem_fastpath_misses += s.mem_fastpath_misses;
-    total.evictions_surgical += s.evictions_surgical;
-    total.evictions_full += s.evictions_full;
-    total.ipis_sent += s.ipis_sent;
-    total.ipis_received += s.ipis_received;
-    total.shootdowns += s.shootdowns;
+    total += u->ctx.stats;
   }
   return total;
 }

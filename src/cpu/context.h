@@ -91,6 +91,44 @@ struct VcpuStats {
   uint64_t persist_hits = 0;    // translations revalidated from a snapshot
   uint64_t persist_misses = 0;  // persisted translations rejected on restore
 
+  // Field-for-field sum (Vm::TotalStats). Every field above must appear
+  // here; the static_assert below fails when one is added.
+  VcpuStats& operator+=(const VcpuStats& o) {
+    instructions += o.instructions;
+    cycles += o.cycles;
+    mmio_exits += o.mmio_exits;
+    hypercalls += o.hypercalls;
+    pt_write_exits += o.pt_write_exits;
+    cow_breaks += o.cow_breaks;
+    wfi_exits += o.wfi_exits;
+    priv_emulations += o.priv_emulations;
+    guest_traps += o.guest_traps;
+    interrupts_delivered += o.interrupts_delivered;
+    dirty_first_writes += o.dirty_first_writes;
+    blocks_translated += o.blocks_translated;
+    block_executions += o.block_executions;
+    chain_hits += o.chain_hits;
+    traces_formed += o.traces_formed;
+    trace_executions += o.trace_executions;
+    mem_fastpath_hits += o.mem_fastpath_hits;
+    mem_fastpath_misses += o.mem_fastpath_misses;
+    evictions_surgical += o.evictions_surgical;
+    evictions_full += o.evictions_full;
+    ipis_sent += o.ipis_sent;
+    ipis_received += o.ipis_received;
+    shootdowns += o.shootdowns;
+    tier2_promotions += o.tier2_promotions;
+    tier2_executions += o.tier2_executions;
+    deopts += o.deopts;
+    guards_elided += o.guards_elided;
+    csr_writes_elided += o.csr_writes_elided;
+    tier2_ops_folded += o.tier2_ops_folded;
+    tier2_ops_dead += o.tier2_ops_dead;
+    persist_hits += o.persist_hits;
+    persist_misses += o.persist_misses;
+    return *this;
+  }
+
   uint64_t TotalExits() const {
     return mmio_exits + hypercalls + pt_write_exits + cow_breaks + priv_emulations;
   }
@@ -99,6 +137,8 @@ struct VcpuStats {
   // compares whole per-vCPU stat blocks across worker counts.
   bool operator==(const VcpuStats&) const = default;
 };
+static_assert(sizeof(VcpuStats) == 32 * sizeof(uint64_t),
+              "a VcpuStats field was added or removed: update operator+=");
 
 // L0 translation cache: a tiny direct-mapped va-page → host-frame array
 // consulted by ExecCore before the virtual Virtualizer::Translate call.

@@ -9,12 +9,6 @@ void InterruptController::Assert(const Phase& ph, uint8_t line) {
   UpdateLevel(ph);
 }
 
-void InterruptController::RaiseIpi(const DirectPhase& ph, uint32_t targets) {
-  uint32_t before = ipi_pending_;
-  ipi_pending_ |= targets;
-  UpdateIpiLevels(ph, before);
-}
-
 Result<uint32_t> InterruptController::Read(uint32_t offset, uint32_t size) {
   if (size != 4) {
     return InvalidArgumentError("pic registers are word-only");

@@ -49,13 +49,6 @@ class InterruptController final : public MmioDevice {
   // Device-side line assertion (edge-latched into PENDING).
   void Assert(const Phase& ph, uint8_t line);
 
-  // VMM-side IPI injection (equivalent to a guest IPI_RAISE write). Demands
-  // a direct-phase token: host-side code may ring doorbells only from the
-  // serial regimes (setup, clock callbacks, restore, commit). Guest raises
-  // arrive through Write() on the owning VM's execute lane instead; nothing
-  // running on a worker lane can deliver an IPI to another VM's PIC.
-  void RaiseIpi(const DirectPhase& ph, uint32_t targets);
-
   std::string_view name() const override { return "pic"; }
   Result<uint32_t> Read(uint32_t offset, uint32_t size) override;
   Status Write(const Phase& ph, uint32_t offset, uint32_t size, uint32_t value) override;

@@ -50,18 +50,7 @@ Result<HostFrame> FramePool::AllocateNetBuf() {
   return frame;
 }
 
-void FramePool::ReleaseNetBuf(HostFrame frame) {
-  Stage* s = tls_stage_;
-  if (s != nullptr && s->pool == this) {
-    assert(IsAllocated(frame));
-    s->decrefs.push_back(frame);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  DecRefLocked(frame);
-}
-
-void FramePool::DecRefAny(const Phase&, HostFrame frame) {
+void FramePool::Release(HostFrame frame) {
   Stage* s = tls_stage_;
   if (s != nullptr && s->pool == this) {
     assert(IsAllocated(frame));

@@ -17,9 +17,9 @@
 //
 // Phase discipline (DESIGN.md §9): the immediate-effect entry points
 // (DecRefImmediate, AddRef) demand a direct-phase token that worker lanes
-// cannot hold; lanes stage via DecRef(const ExecutePhase&, ...). Code that
-// runs in both regimes (GuestMemory's COW break) dispatches through
-// DecRef(const Phase&, ...).
+// cannot hold; lanes, and code that runs in both regimes (GuestMemory's COW
+// break), drop references through DecRef(const Phase&, ...), which stages
+// inside a slice.
 
 #ifndef SRC_MEM_FRAME_POOL_H_
 #define SRC_MEM_FRAME_POOL_H_
@@ -84,13 +84,10 @@ class FramePool {
   }
   size_t netbuf_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS { return netbuf_count_; }
 
-  // Drops one reference from an executing slice: deferred into the slice's
-  // Stage, applied at the round barrier.
-  void DecRef(const ExecutePhase& ph, HostFrame frame) { DecRefAny(ph, frame); }
-
-  // Phase-dispatching decref for code that runs in both regimes
-  // (GuestMemory COW break / balloon paths).
-  void DecRef(const Phase& ph, HostFrame frame) { DecRefAny(ph, frame); }
+  // Drops one reference. Inside an executing slice it is deferred into the
+  // slice's Stage and applied at the round barrier; otherwise it drops in
+  // place (GuestMemory COW break / balloon paths run in both regimes).
+  void DecRef(const Phase&, HostFrame frame) { Release(frame); }
 
   // Drops one reference in place; the frame returns to the free list at
   // refcount 0. Serial/commit phases only.
@@ -111,15 +108,14 @@ class FramePool {
   size_t used_frames() const { return total_frames() - free_frames(); }
 
  private:
-  // Release path for FrameBuf's control block, which dies wherever the last
-  // handle dies: stages when the current thread is inside an execute slice,
-  // drops the reference in place otherwise. Private on purpose — the
-  // destructor of a refcounted buffer cannot carry a phase token, so the
-  // hole in the token discipline is scoped to the one friend that needs it,
-  // and the staging route keeps release ordering deterministic for any
-  // worker count (DESIGN.md §10).
+  // The leaf under DecRef: stages when the current thread is staging for
+  // this pool, drops the reference in place otherwise. FrameBuf's control
+  // block calls it directly because it dies wherever the last handle dies
+  // and a destructor cannot carry a phase token; the hole in the token
+  // discipline is scoped to that one friend, and the staging route keeps
+  // release ordering deterministic for any worker count (DESIGN.md §10).
   friend class net::FrameBuf;
-  void ReleaseNetBuf(HostFrame frame);
+  void Release(HostFrame frame);
 
   Result<HostFrame> AllocateLocked(bool zero) HYP_REQUIRES(mu_);
 
@@ -127,10 +123,6 @@ class FramePool {
   bool IsAllocated(HostFrame frame) const HYP_NO_THREAD_SAFETY_ANALYSIS {
     return frame < refcount_.size() && refcount_[frame] > 0;
   }
-
-  // Shared leaf under the token-typed entry points: stage when the current
-  // thread is staging for this pool, decref in place otherwise (PR 5 body).
-  void DecRefAny(const Phase& ph, HostFrame frame);
 
   void DecRefLocked(HostFrame frame) HYP_REQUIRES(mu_);
 

@@ -24,12 +24,6 @@ uint64_t MachineStateBytes(core::Vm& vm) {
   return 4096 + static_cast<uint64_t>(vm.num_vcpus()) * 256;
 }
 
-core::VmConfig DestConfig(const core::Vm& vm) {
-  // Same configuration; the disk is shared storage, so the shared_ptr simply
-  // attaches at the destination too.
-  return vm.config();
-}
-
 // The source side of the migration wire: sends chunks while the source host
 // (and the guest, unless paused) keeps running, retrying lost chunks with
 // exponential backoff. Each attempt spends real wire time, so the guest
@@ -213,20 +207,17 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
 
   // Materialize the destination from the (now consistent) source state. Any
   // failure from here on also rolls back: no half-VM survives on either side.
+  // The disk is shared storage, so the config's shared_ptr simply attaches
+  // at the destination too.
   auto image = snapshot::SaveVm(*vm);
   if (!image.ok()) {
     return abort_switchover(image.status());
   }
-  auto created = dst.CreateVm(DestConfig(*vm));
+  auto created = snapshot::CloneVm(dst, vm->config(), *image);
   if (!created.ok()) {
     return abort_switchover(created.status());
   }
   core::Vm* dvm = *created;
-  Status st = snapshot::LoadVm(*dvm, *image);
-  if (!st.ok()) {
-    (void)dst.DestroyVm(dvm);
-    return abort_switchover(st);
-  }
   dvm->Pause(serial);   // align lifecycle state, then resume cleanly
   dvm->Resume(serial);
 
@@ -275,6 +266,9 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
   }
 
  private:
+  // Runs after a transfer's pages are delivered.
+  using Step = void (PostCopyServer::*)(const DirectPhase&);
+
   // Runs inside the faulting vCPU's slice: everything it schedules stages
   // through the ExecutePhase until the round barrier.
   bool OnFault(const ExecutePhase& ph, uint32_t vcpu, uint32_t gpn) {
@@ -293,40 +287,50 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
     missing_.erase(gpn);
     in_flight_.insert(gpn);
     stall_started_[gpn] = start;
-    SendDemandFetch(ph, gpn, options_.retry_backoff);
+    SendPages(ph, {gpn}, nullptr, options_.retry_backoff);
     return true;
   }
 
-  // One demand-fetch attempt; a lost transfer reschedules itself after
-  // `backoff` (doubling up to the cap). The vCPU stays stalled throughout —
-  // exactly the self-healing the chaos harness measures as demand stall.
-  // Dual-regime: the first attempt fires from the faulting slice (staged),
-  // retries fire from serial clock callbacks (direct).
-  void SendDemandFetch(const Phase& ph, uint32_t gpn, SimTime backoff) {
-    rep_->pages_sent += 1;
-    rep_->bytes_sent += PageWireBytes(options_);
+  // Sends `pages` as one transfer; on arrival each page is delivered, then
+  // `then` runs if set. A lost transfer reschedules itself after `backoff`
+  // (doubling up to the cap); a demand-faulting vCPU stays stalled
+  // throughout — exactly the self-healing the chaos harness measures as
+  // demand stall. Dual-regime: a demand fetch's first attempt fires from the
+  // faulting slice (staged); background batches and every retry fire from
+  // serial clock callbacks (direct).
+  void SendPages(const Phase& ph, std::vector<uint32_t> pages, Step then, SimTime backoff) {
+    uint64_t bytes = pages.size() * PageWireBytes(options_);
+    rep_->pages_sent += pages.size();
+    rep_->bytes_sent += bytes;
     auto self = weak_from_this();
     link_.TransferFaulty(
-        ph, PageWireBytes(options_),
-        [self, gpn](const SerialPhase& sp) {
-          if (auto s = self.lock()) {
+        ph, bytes,
+        [self, pages, then](const SerialPhase& sp) {
+          auto s = self.lock();
+          if (s == nullptr) {
+            return;
+          }
+          for (uint32_t gpn : pages) {
             s->DeliverPage(sp, gpn);
           }
+          if (then != nullptr) {
+            (s.get()->*then)(sp);
+          }
         },
-        [self, gpn, backoff](const SerialPhase& sp) {
+        [self, pages, then, backoff](const SerialPhase& sp) {
           auto s = self.lock();
           if (s == nullptr) {
             return;
           }
           ++s->rep_->retries;
-          s->rep_->pages_resent += 1;
+          s->rep_->pages_resent += pages.size();
           SimTime next = std::min(backoff * 2, s->options_.retry_backoff_cap);
-          s->dst_host_->clock().ScheduleAfter(sp, backoff,
-                                              [self, gpn, next](const SerialPhase& sp2) {
-                                                if (auto s2 = self.lock()) {
-                                                  s2->SendDemandFetch(sp2, gpn, next);
-                                                }
-                                              });
+          s->dst_host_->clock().ScheduleAfter(
+              sp, backoff, [self, pages, then, next](const SerialPhase& sp2) {
+                if (auto s2 = self.lock()) {
+                  s2->SendPages(sp2, pages, then, next);
+                }
+              });
         });
   }
 
@@ -372,41 +376,7 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
       missing_.erase(gpn);
       in_flight_.insert(gpn);
     }
-    PushBatch(ph, std::move(batch), options_.retry_backoff);
-  }
-
-  void PushBatch(const DirectPhase& ph, std::vector<uint32_t> batch, SimTime backoff) {
-    uint64_t bytes = batch.size() * PageWireBytes(options_);
-    rep_->pages_sent += batch.size();
-    rep_->bytes_sent += bytes;
-    auto self = weak_from_this();
-    link_.TransferFaulty(
-        ph, bytes,
-        [self, batch](const SerialPhase& sp) {
-          auto s = self.lock();
-          if (s == nullptr) {
-            return;
-          }
-          for (uint32_t gpn : batch) {
-            s->DeliverPage(sp, gpn);
-          }
-          s->PushNextBatch(sp);
-        },
-        [self, batch, backoff](const SerialPhase& sp) {
-          auto s = self.lock();
-          if (s == nullptr) {
-            return;
-          }
-          ++s->rep_->retries;
-          s->rep_->pages_resent += batch.size();
-          SimTime next = std::min(backoff * 2, s->options_.retry_backoff_cap);
-          s->dst_host_->clock().ScheduleAfter(sp, backoff,
-                                              [self, batch, next](const SerialPhase& sp2) {
-                                                if (auto s2 = self.lock()) {
-                                                  s2->PushBatch(sp2, batch, next);
-                                                }
-                                              });
-        });
+    SendPages(ph, std::move(batch), &PostCopyServer::PushNextBatch, options_.retry_backoff);
   }
 
   core::Vm* src_vm_;
@@ -432,7 +402,6 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   bool was_running = vm->state() == core::VmState::kRunning;
   ScopedSerialPhase serial;
   MigrationReport rep;
-  SimTime t0 = src.clock().now();
   WireSender wire(src, options, rep);
 
   // Switchover: only the machine state crosses before the guest resumes. A
@@ -459,16 +428,11 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   if (!image.ok()) {
     return abort_switchover(image.status());
   }
-  auto created = dst.CreateVm(DestConfig(*vm));
+  auto created = snapshot::CloneVm(dst, vm->config(), *image);
   if (!created.ok()) {
     return abort_switchover(created.status());
   }
   core::Vm* dvm = *created;
-  Status st = snapshot::LoadVm(*dvm, *image);
-  if (!st.ok()) {
-    (void)dst.DestroyVm(dvm);
-    return abort_switchover(st);
-  }
   // Strip all RAM: pages fault over on demand.
   for (uint32_t gpn = 0; gpn < dvm->memory().num_pages(); ++gpn) {
     if (dvm->memory().IsPresent(gpn)) {
@@ -522,7 +486,6 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   dvm->SetMissingPageHandler(nullptr);
 
   rep.total_time = rep.downtime + (dst.clock().now() - run_start);
-  (void)t0;
   Publish(report, rep);
   return dvm;
 }

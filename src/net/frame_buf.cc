@@ -8,7 +8,7 @@ namespace hyperion::net {
 FrameBuf::Storage::~Storage() {
   if (pool != nullptr) {
     for (uint32_t i = 0; i < nframes; ++i) {
-      pool->ReleaseNetBuf(frames[i]);
+      pool->Release(frames[i]);
     }
   }
 }
@@ -36,7 +36,7 @@ FrameBuf FrameBuf::Allocate(mem::FramePool* pool, size_t size) {
     // Pool exhausted mid-allocation: give the partial frames back and fall
     // through to the heap so frame construction never fails.
     for (uint32_t i = 0; i < s.nframes; ++i) {
-      pool->ReleaseNetBuf(s.frames[i]);
+      pool->Release(s.frames[i]);
     }
     s.nframes = 0;
     s.pool = nullptr;

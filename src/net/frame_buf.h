@@ -10,7 +10,7 @@
 // kMaxChunks non-contiguous 4 KiB host frames, enough for a jumbo frame —
 // and falls back to a heap vector when the pool is exhausted or absent
 // (unit tests, frames built outside a VM). Pool-backed storage is released
-// through FramePool::ReleaseNetBuf, which stages the decref when the last
+// through FramePool::Release, which stages the decref when the last
 // handle dies inside an execute slice; that keeps pool state bit-identical
 // across worker counts even though handle lifetimes end on worker threads.
 //
@@ -72,7 +72,7 @@ class FrameBuf {
     Storage() = default;
     Storage(const Storage&) = delete;
     Storage& operator=(const Storage&) = delete;
-    ~Storage();  // releases pool frames via FramePool::ReleaseNetBuf
+    ~Storage();  // releases pool frames via FramePool::Release
 
     mem::FramePool* pool = nullptr;  // null => heap-backed
     std::array<mem::HostFrame, kMaxChunks> frames{};

@@ -64,10 +64,6 @@ void VirtualSwitch::SendAny(const Phase& ph, Frame frame) {
 
 void VirtualSwitch::Send(const DirectPhase& ph, Frame frame) { SendAny(ph, std::move(frame)); }
 
-void VirtualSwitch::StageTx(const ExecutePhase& ph, Frame frame) {
-  SendAny(ph, std::move(frame));
-}
-
 void VirtualSwitch::Transmit(const Phase& ph, Frame frame) { SendAny(ph, std::move(frame)); }
 
 SimTime VirtualSwitch::TransmitBurst(const Phase& ph, std::vector<Frame> frames) {
@@ -144,11 +140,7 @@ void VirtualSwitch::SendAt(const DirectPhase& ph, Frame frame, SimTime at) {
     return;
   }
   if (frame.dst == kBroadcast) {
-    for (auto& [addr, port] : ports_) {
-      if (addr != frame.src) {
-        DeliverTo(ph, addr, *port, frame, at);
-      }
-    }
+    FloodLocal(ph, frame, at);
     if (uplink_ != nullptr) {
       // Flood the fabric too; remote switches deliver locally only (split
       // horizon in DeliverFromFabric), so the broadcast cannot loop back.
@@ -177,11 +169,7 @@ void VirtualSwitch::DeliverFromFabric(const DirectPhase& ph, Frame frame, SimTim
     return;
   }
   if (frame.dst == kBroadcast) {
-    for (auto& [addr, port] : ports_) {
-      if (addr != frame.src) {
-        DeliverTo(ph, addr, *port, frame, at);
-      }
-    }
+    FloodLocal(ph, frame, at);
     return;
   }
   auto it = ports_.find(frame.dst);
@@ -194,28 +182,43 @@ void VirtualSwitch::DeliverFromFabric(const DirectPhase& ph, Frame frame, SimTim
   DeliverTo(ph, it->first, *it->second, frame, at);
 }
 
-void VirtualSwitch::DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
-                              const Frame& frame, SimTime at) {
-  size_t wire = frame.wire_bytes();
-  uint32_t copies = 1;
-  SimTime extra_latency = 0;
-  if (injector_ != nullptr) {
-    fault::FrameFault ff = injector_->OnFrame(fault_site_, at, frame.src, dst_key);
-    if (ff.drop) {
-      ++stats_.frames_dropped;
-      ++stats_.frames_injected_dropped;
-      return;
-    }
-    copies += ff.duplicates;
-    stats_.frames_injected_duplicated += ff.duplicates;
-    extra_latency = ff.extra_latency;
-    if (extra_latency != 0) {
-      ++stats_.frames_injected_delayed;
+void VirtualSwitch::FloodLocal(const DirectPhase& ph, const Frame& frame, SimTime at) {
+  for (auto& [addr, port] : ports_) {
+    if (addr != frame.src) {
+      DeliverTo(ph, addr, *port, frame, at);
     }
   }
-  for (uint32_t c = 0; c < copies; ++c) {
+}
+
+bool VirtualSwitch::Admit(const Frame& frame, MacAddr dst_key, SimTime at,
+                          fault::FrameFault* ff) {
+  *ff = fault::FrameFault{};
+  if (injector_ == nullptr) {
+    return true;
+  }
+  *ff = injector_->OnFrame(fault_site_, at, frame.src, dst_key);
+  if (ff->drop) {
+    ++stats_.frames_dropped;
+    ++stats_.frames_injected_dropped;
+    return false;
+  }
+  stats_.frames_injected_duplicated += ff->duplicates;
+  if (ff->extra_latency != 0) {
+    ++stats_.frames_injected_delayed;
+  }
+  return true;
+}
+
+void VirtualSwitch::DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
+                              const Frame& frame, SimTime at) {
+  fault::FrameFault ff;
+  if (!Admit(frame, dst_key, at, &ff)) {
+    return;
+  }
+  size_t wire = frame.wire_bytes();
+  for (uint32_t c = 0; c <= ff.duplicates; ++c) {
     SimTime done = port.link.ScheduleTransferAt(at, wire);
-    ScheduleDeliver(ph, dst_key, frame, done + extra_latency);
+    ScheduleDeliver(ph, dst_key, frame, done + ff.extra_latency);
   }
 }
 
@@ -252,27 +255,15 @@ SimTime VirtualSwitch::DeliverBurstTo(const DirectPhase& ph, MacAddr dst_key, Po
       ++stats_.frames_dropped;
       continue;
     }
-    size_t wire = frame.wire_bytes();
-    uint32_t copies = 1;
-    SimTime extra_latency = 0;
-    if (injector_ != nullptr) {
-      fault::FrameFault ff = injector_->OnFrame(fault_site_, at, frame.src, dst_key);
-      if (ff.drop) {
-        ++stats_.frames_dropped;
-        ++stats_.frames_injected_dropped;
-        continue;
-      }
-      copies += ff.duplicates;
-      stats_.frames_injected_duplicated += ff.duplicates;
-      extra_latency = ff.extra_latency;
-      if (extra_latency != 0) {
-        ++stats_.frames_injected_delayed;
-      }
+    fault::FrameFault ff;
+    if (!Admit(frame, dst_key, at, &ff)) {
+      continue;
     }
-    for (uint32_t c = 0; c < copies; ++c) {
+    size_t wire = frame.wire_bytes();
+    for (uint32_t c = 0; c <= ff.duplicates; ++c) {
       SimTime done = port.link.ScheduleTransferAt(at, wire);
-      if (extra_latency != 0) {
-        ScheduleDeliver(ph, dst_key, frame, done + extra_latency);
+      if (ff.extra_latency != 0) {
+        ScheduleDeliver(ph, dst_key, frame, done + ff.extra_latency);
       } else {
         burst->push_back(frame);
         last_done = done;

@@ -22,6 +22,7 @@
 
 namespace hyperion::fault {
 class FaultInjector;
+struct FrameFault;
 }  // namespace hyperion::fault
 
 namespace hyperion::net {
@@ -215,10 +216,6 @@ class VirtualSwitch {
   // Invalid frames are counted and dropped.
   void Send(const DirectPhase&, Frame frame);
 
-  // Appends `frame` to the executing slice's TxStage for delivery at the
-  // round barrier (worker lanes).
-  void StageTx(const ExecutePhase&, Frame frame);
-
   // Phase-dispatching transmit for code that runs in both regimes (NIC
   // doorbells): stages under an ExecutePhase, sends under a direct phase.
   void Transmit(const Phase& ph, Frame frame);
@@ -270,8 +267,15 @@ class VirtualSwitch {
   void SendAny(const Phase& ph, Frame frame);
 
   void SendAt(const DirectPhase& ph, Frame frame, SimTime at);
+  // Delivers a broadcast to every local port except the sender's.
+  void FloodLocal(const DirectPhase& ph, const Frame& frame, SimTime at);
   void DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
                  const Frame& frame, SimTime at);
+  // Consults the fault injector for one frame bound for `dst_key` and
+  // tallies the verdict. Returns false when the frame is dropped; otherwise
+  // `*ff` holds the duplicates and extra latency to apply (none without an
+  // injector).
+  bool Admit(const Frame& frame, MacAddr dst_key, SimTime at, fault::FrameFault* ff);
 
   // Sends a batch with logical send time `at`, grouping consecutive frames
   // to the same unicast destination into bursts of at most kMaxBurstFrames

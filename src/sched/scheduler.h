@@ -84,9 +84,6 @@ class Scheduler {
   // tells the scheduler whether to requeue it.
   virtual void Account(EntityId id, uint64_t cycles, bool still_runnable, SimTime now) = 0;
 
-  // Nominal timeslice in cycles.
-  virtual uint64_t timeslice() const { return 1'000'000; }  // 1 ms
-
   virtual const std::map<EntityId, EntityStats>& stats() const = 0;
 };
 

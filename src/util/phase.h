@@ -11,12 +11,11 @@
 //     inter-round portions of Host::RunFor, tests.
 //
 // PR 5 enforced this split dynamically (thread-local stages + TSan). The
-// token types below turn it into a *compile-time* discipline: staging-only
-// APIs demand `const ExecutePhase&`, direct-effect APIs demand
-// `const DirectPhase&` (of which CommitPhase and SerialPhase are the only
-// concrete kinds), and the constructors are private to the host run loop —
-// code running on a worker lane holds an ExecutePhase and has no way to
-// manufacture the direct token that `SimClock::ScheduleOwned` or
+// token types below turn it into a *compile-time* discipline: direct-effect
+// APIs demand `const DirectPhase&` (of which CommitPhase and SerialPhase are
+// the only concrete kinds), and the constructors are private to the host
+// run loop — code running on a worker lane holds an ExecutePhase and has no
+// way to manufacture the direct token that `SimClock::ScheduleOwned` or
 // `VirtualSwitch::Send` require, so a forgotten staging call is a type error
 // instead of a latent race. tests/negcompile/ pins this property.
 //
@@ -24,10 +23,12 @@
 // PR 5 is unchanged underneath, and TSan still guards what the type system
 // cannot see (see DESIGN.md §9 for the split).
 //
-// Dual-context code (device completions, migrate demand-fetch) that runs
-// both inside slices and from serial callbacks takes `const Phase&` and lets
-// a phase-dispatching wrapper (ClockRef::ScheduleAt, VirtualSwitch::Transmit,
-// FramePool::DecRef(const Phase&, ...)) pick the staged or direct leaf.
+// Lanes, and dual-context code (device completions, migrate demand-fetch)
+// that runs both inside slices and from serial callbacks, take
+// `const Phase&` and call the `const Phase&` entry of each effect
+// (ClockRef::ScheduleAt, VirtualSwitch::Transmit, FramePool::DecRef,
+// Host::WakeVcpu). It shares one leaf with the direct-only entry, and the
+// leaf stages or acts by the thread-local stage.
 //
 // The one sanctioned acquisition point outside the run loop is
 // ScopedSerialPhase, whose constructor asserts at runtime that the thread is
@@ -59,7 +60,7 @@ class Phase {
 
   bool execute() const { return execute_; }
 
-  // Downcasts for phase-dispatching wrappers; exactly one is non-null.
+  // Downcasts for code that checks its regime; exactly one is non-null.
   const ExecutePhase* AsExecute() const;
   const DirectPhase* AsDirect() const;
 

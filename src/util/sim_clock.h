@@ -10,7 +10,7 @@
 // concurrently. A worker installs a thread-local SimClock::Stage for the
 // duration of a slice; now() then reads the slice's start time (the value the
 // serial loop would have seen, since the clock never moves mid-slice) and
-// Stage* calls append to the stage instead of the queue. The host thread
+// scheduling calls append to the stage instead of the queue. The host thread
 // merges stages at the round barrier with CommitStage, in deterministic
 // dispatch order, so the final queue contents are identical for any worker
 // count — including zero.
@@ -18,12 +18,10 @@
 // Phase discipline (DESIGN.md §9): the direct-effect entry points
 // (ScheduleOwned/ScheduleAt/ScheduleAfter, RunUntil/RunAll, CommitStage)
 // demand a direct-phase capability token that worker lanes can never hold;
-// lanes use the Stage* counterparts, which demand an ExecutePhase. Code that
-// runs in both regimes dispatches through ClockRef. Underneath, both leaves
-// share the PR 5 thread-local routing, so the tokens add a static gate
-// without changing behavior: a direct call against a *different* clock than
-// the staged one (the two-host migration case) still goes straight to that
-// clock's queue, exactly as before.
+// lanes schedule through ClockRef, whose entries take `const Phase&`. Both
+// reach one leaf, which routes by the thread-local stage: a call against
+// the staged clock is staged, and a call against a *different* clock (the
+// two-host migration case) goes straight to that clock's queue.
 
 #ifndef SRC_UTIL_SIM_CLOCK_H_
 #define SRC_UTIL_SIM_CLOCK_H_
@@ -84,7 +82,6 @@ class SimClock {
   // Installs `stage` as the current thread's staging buffer (nullptr to
   // clear). Only the host run loop does this, around each slice.
   static void SetStage(const ExecutePhase&, Stage* stage) { tls_stage_ = stage; }
-  static Stage* CurrentStage() { return tls_stage_; }
 
   SimTime now() const {
     const Stage* s = tls_stage_;
@@ -110,25 +107,6 @@ class SimClock {
   template <typename F>
   void ScheduleAfter(const DirectPhase& ph, SimTime delay, F fn) {
     ScheduleOwned(ph, now() + delay, 0, std::move(fn));
-  }
-
-  // --- Staged scheduling (execute phase: worker lanes) --------------------
-
-  // Appends to the executing slice's stage (or, for a clock other than the
-  // staged one, falls through to that clock's queue — see the file comment).
-  template <typename F>
-  void StageOwned(const ExecutePhase&, SimTime when, uint64_t owner, F fn) {
-    ScheduleOwnedAny(when, owner, WrapCallback(std::move(fn)));
-  }
-
-  template <typename F>
-  void StageAt(const ExecutePhase& ph, SimTime when, F fn) {
-    StageOwned(ph, when, 0, std::move(fn));
-  }
-
-  template <typename F>
-  void StageAfter(const ExecutePhase& ph, SimTime delay, F fn) {
-    StageOwned(ph, now() + delay, 0, std::move(fn));
   }
 
   // Merges a slice's staged events into the queue, in staging order. Called
@@ -195,9 +173,10 @@ class SimClock {
   }
 
  private:
-  // Shared leaf under both token-typed entry points: stage when the current
-  // thread is staging for this clock, push directly otherwise. Identical to
-  // the PR 5 ScheduleOwned body.
+  friend class ClockRef;
+
+  // Shared leaf under ScheduleOwned and ClockRef::ScheduleAt: stage when the
+  // current thread is staging for this clock, push directly otherwise.
   void ScheduleOwnedAny(SimTime when, uint64_t owner, Callback fn) {
     Stage* s = tls_stage_;
     if (s != nullptr && s->clock == this) {
@@ -222,11 +201,11 @@ class SimClock {
 // Implicitly convertible from SimClock* — an untagged ref behaves exactly
 // like the raw pointer did.
 //
-// ClockRef is the phase-dispatching wrapper for dual-context code: device
-// completion paths run both inside slices (doorbell MMIO from a worker
-// lane) and from serial callbacks (snapshot restore, tests), so its
-// Schedule* methods take `const Phase&` and route to the staged or direct
-// leaf accordingly.
+// ClockRef is the entry for dual-context code: device completion paths run
+// both inside slices (doorbell MMIO from a worker lane) and from serial
+// callbacks (snapshot restore, tests), so its Schedule* methods take
+// `const Phase&` and call the clock's leaf, which stages or pushes by the
+// thread-local stage.
 class ClockRef {
  public:
   ClockRef() = default;
@@ -240,12 +219,8 @@ class ClockRef {
   SimTime now() const { return clock_->now(); }
 
   template <typename F>
-  void ScheduleAt(const Phase& ph, SimTime when, F fn) {
-    if (const ExecutePhase* ep = ph.AsExecute()) {
-      clock_->StageOwned(*ep, when, owner_, std::move(fn));
-    } else {
-      clock_->ScheduleOwned(*ph.AsDirect(), when, owner_, std::move(fn));
-    }
+  void ScheduleAt(const Phase&, SimTime when, F fn) {
+    clock_->ScheduleOwnedAny(when, owner_, SimClock::WrapCallback(std::move(fn)));
   }
 
   template <typename F>

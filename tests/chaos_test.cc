@@ -233,6 +233,39 @@ TEST(ChaosTest, PostCopyLinkDownHitsRunLimitAndRollsBack) {
   EXPECT_EQ(vm->state(), VmState::kRunning) << vm->crash_reason().ToString();
 }
 
+// Post-copy demand fetch lost once: the fetch must be resent after the
+// backoff and the destination must still reach residency with the source's
+// exact memory. The guest spins on a load from gpn 128, writing nothing, so
+// the two RAM digests stay comparable after switchover. Transfers on the
+// link, in op order: 0 the machine state, 1 the first 32-page background
+// batch (gpns 0-31, the code page among them), 2 the next batch, issued from
+// the callback that delivers batch 1 and wakes the vCPU, and 3 the vCPU's
+// demand fetch of gpn 128 — the one dropped here.
+TEST(ChaosTest, PostCopyResendsALostDemandFetch) {
+  fault::FaultPlan plan;
+  plan.AddDropOnce(kLinkSite, 3);
+  fault::FaultInjector inj(plan);
+
+  Host src, dst;
+  Vm* vm = BootVm(src, VmConfig{.name = "pc-fetch"},
+                  "_start:\n  li t0, 0x80000\nspin:\n  lw t1, 0(t0)\n  j spin\n");
+  src.RunFor(kSimTicksPerMs);
+
+  migrate::MigrateOptions options = ChaosOptions(&inj);
+  ASSERT_EQ(options.background_batch_pages, 32u);
+  migrate::MigrationReport report;
+  auto moved = migrate::PostCopyMigrate(src, vm, dst, options, &report);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();  // residency reached
+  EXPECT_EQ(inj.stats().transfers_lost, 1u);
+  EXPECT_GE(report.demand_fetches, 1u);
+  EXPECT_GE(report.retries, 1u);
+  // One page resent: the lost transfer was the single-page fetch, not a
+  // 32-page background batch.
+  EXPECT_EQ(report.pages_resent, 1u);
+  EXPECT_EQ((*moved)->state(), VmState::kRunning);
+  EXPECT_EQ(RamDigest(*vm), RamDigest(**moved));
+}
+
 // Round timeouts keep rounds bounded and carry the remainder forward; the
 // migration still converges and the report counts the expiries.
 TEST(ChaosTest, RoundTimeoutCarriesRemainderForward) {

@@ -517,6 +517,50 @@ TEST(SnapshotTest, WarmTranslationsPrimeRestoredClone) {
   EXPECT_EQ((*restored)->vcpu(0).state.instret, vm->vcpu(0).state.instret);
 }
 
+// Vm::TotalStats sums every VcpuStats field, the tier-2 and persisted-
+// translation counters included: for a tiered-up DBT guest and a clone
+// restored from its snapshot, each total equals the sum over the vCPUs.
+TEST(SnapshotTest, TotalStatsSumsTierAndPersistCounters) {
+  Host host;
+  std::string prog = guest::ComputeProgram(600000);
+  Vm* vm = WarmPausedVm(host, "sum", prog);
+  auto bytes = snapshot::SaveVm(*vm);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto clone = snapshot::CloneVm(host, WarmDbtConfig("sum2"), *bytes);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  host.RunFor(2 * kSimTicksPerMs);
+
+  for (Vm* v : {vm, *clone}) {
+    cpu::VcpuStats sum;
+    for (uint32_t i = 0; i < v->num_vcpus(); ++i) {
+      const cpu::VcpuStats& s = v->vcpu(i).stats;
+      sum.tier2_promotions += s.tier2_promotions;
+      sum.tier2_executions += s.tier2_executions;
+      sum.deopts += s.deopts;
+      sum.guards_elided += s.guards_elided;
+      sum.csr_writes_elided += s.csr_writes_elided;
+      sum.tier2_ops_folded += s.tier2_ops_folded;
+      sum.tier2_ops_dead += s.tier2_ops_dead;
+      sum.persist_hits += s.persist_hits;
+      sum.persist_misses += s.persist_misses;
+    }
+    cpu::VcpuStats total = v->TotalStats();
+    EXPECT_EQ(total.tier2_promotions, sum.tier2_promotions) << v->name();
+    EXPECT_EQ(total.tier2_executions, sum.tier2_executions) << v->name();
+    EXPECT_EQ(total.deopts, sum.deopts) << v->name();
+    EXPECT_EQ(total.guards_elided, sum.guards_elided) << v->name();
+    EXPECT_EQ(total.csr_writes_elided, sum.csr_writes_elided) << v->name();
+    EXPECT_EQ(total.tier2_ops_folded, sum.tier2_ops_folded) << v->name();
+    EXPECT_EQ(total.tier2_ops_dead, sum.tier2_ops_dead) << v->name();
+    EXPECT_EQ(total.persist_hits, sum.persist_hits) << v->name();
+    EXPECT_EQ(total.persist_misses, sum.persist_misses) << v->name();
+  }
+  // Non-vacuity: the counters the old sum dropped are live in this run.
+  EXPECT_GT(vm->TotalStats().tier2_promotions, 0u);
+  EXPECT_GT((*clone)->TotalStats().tier2_executions, 0u);
+  EXPECT_GT((*clone)->TotalStats().persist_hits, 0u);
+}
+
 TEST(SnapshotTest, UnsupportedVersionRejected) {
   // Only the current layout restores. An image that claims an older (v1) or
   // a future (v3) version is refused before any target state is touched.

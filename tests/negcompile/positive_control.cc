@@ -8,7 +8,6 @@
 
 #include <span>
 
-#include "src/devices/pic.h"
 #include "src/mem/frame_pool.h"
 #include "src/net/network.h"
 #include "src/util/phase.h"
@@ -19,9 +18,8 @@ namespace hyperion {
 void Control(const SerialPhase& sp, SimClock& clock, net::VirtualSwitch& sw,
              mem::FramePool& pool, net::Frame frame, net::Frame fabric_frame,
              mem::HostFrame f, net::FrameSink& sink,
-             std::span<const net::Frame> frames, devices::InterruptController& pic) {
+             std::span<const net::Frame> frames) {
   clock.ScheduleAt(sp, 100, [](const SerialPhase&) {});
-  pic.RaiseIpi(sp, 0b0110);
   sw.Send(sp, std::move(frame));
   sw.DeliverFromFabric(sp, std::move(fabric_frame), 0);
   pool.DecRefImmediate(sp, f);

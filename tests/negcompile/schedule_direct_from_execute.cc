@@ -2,9 +2,9 @@
 //
 // SimClock::ScheduleAt demands a DirectPhase token. The only phase evidence
 // code running on a worker lane holds is the slice's ExecutePhase, which is
-// deliberately not convertible — slice code must stage via StageAt/StageAfter
-// (or the dual-context ClockRef::ScheduleAt(const Phase&, ...)) so the event
-// lands in the per-slice buffer and commits in dispatch order.
+// deliberately not convertible — slice code must stage via the dual-context
+// ClockRef::ScheduleAt(const Phase&, ...) so the event lands in the
+// per-slice buffer and commits in dispatch order.
 
 #include "src/util/phase.h"
 #include "src/util/sim_clock.h"

@@ -220,16 +220,23 @@ TEST(StagedExecutionTest, ResultsAreIdenticalAcrossWorkerCounts) {
 // Ten chaos seeds at 4 workers, with the runtime auditors armed the whole
 // time: staging must never let a worker observe (or commit) an incoherent
 // MMU, virtio ring, or frame refcount, and every seed must replay the serial
-// outcome exactly.
-TEST(StagedExecutionTest, ChaosSweepAtFourWorkersMatchesSerialUnderAudit) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    verify::SetAuditEnabled(true);
-    ScenarioResult serial = RunScenario(/*workers=*/0, seed, /*short_run=*/true);
-    ScenarioResult four = RunScenario(/*workers=*/4, seed, /*short_run=*/true);
-    verify::SetAuditEnabled(false);
-    EXPECT_TRUE(serial == four) << "divergence at seed " << seed;
-  }
+// outcome exactly. One test per seed, so ctest can run the seeds in
+// parallel; the instantiation prefix keeps them under StagedExecutionTest.
+class ChaosSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChaosSweep, AtFourWorkersMatchesSerialUnderAudit) {
+  uint64_t seed = GetParam();
+  verify::SetAuditEnabled(true);
+  ScenarioResult serial = RunScenario(/*workers=*/0, seed, /*short_run=*/true);
+  ScenarioResult four = RunScenario(/*workers=*/4, seed, /*short_run=*/true);
+  verify::SetAuditEnabled(false);
+  EXPECT_TRUE(serial == four) << "divergence at seed " << seed;
 }
+
+INSTANTIATE_TEST_SUITE_P(StagedExecutionTest, ChaosSweep, ::testing::Range<uint64_t>(1, 11),
+                         [](const ::testing::TestParamInfo<uint64_t>& p) {
+                           return "Seed" + std::to_string(p.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // SMP bit-identity
