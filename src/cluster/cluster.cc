@@ -17,6 +17,13 @@ Cluster::~Cluster() {
   // backed by member FramePools: drop them while every pool is still alive,
   // so members then tear down against an empty queue.
   domain_.DiscardPendingEvents();
+  // A guest's RX backlog can hold frames from another member's pool, so
+  // every member's VMs go before any member host (and its pool) does.
+  for (auto& host : hosts_) {
+    while (!host->vms().empty()) {
+      (void)host->DestroyVm(host->vms().back().get());
+    }
+  }
 }
 
 core::Host* Cluster::AddHost(core::HostConfig config) {
@@ -220,9 +227,7 @@ bool Cluster::MigrateVm(core::Vm* vm, core::Host* from, core::Host* to,
   record.to = to->name();
   record.reason = reason;
   Result<core::Vm*> moved =
-      config_.post_copy
-          ? migrate::PostCopyMigrate(*from, vm, *to, config_.migrate, &record.report)
-          : migrate::PreCopyMigrate(*from, vm, *to, config_.migrate, &record.report);
+      migrate::PreCopyMigrate(*from, vm, *to, migrate::MigrateOptions{}, &record.report);
   record.ok = moved.ok();
   bool ok = record.ok;
   if (ok) {
@@ -407,10 +412,6 @@ void Cluster::DrsTick() {
   ++stats_.drs_ticks;
   RefreshLoadWindows();
   EvacuateFailedHosts();
-  if (config_.checkpoint_every_ticks != 0 &&
-      stats_.drs_ticks % config_.checkpoint_every_ticks == 0) {
-    CheckpointAll();
-  }
   DrainTick();
   RebalanceTick();
   // Drain/rebalance migrations advance shared time, possibly past an injected

@@ -58,13 +58,7 @@ struct ClusterConfig {
   // committed guest RAM ram_overcommit * host RAM, per host.
   double cpu_overcommit = 4.0;
   double ram_overcommit = 1.0;
-  // Wire parameters for DRS-initiated live migrations.
-  migrate::MigrateOptions migrate;
-  bool post_copy = false;  // use post-copy instead of pre-copy for DRS moves
   DrsConfig drs;
-  // Auto-checkpoint every N DRS ticks (the crash-evacuation template; see
-  // CheckpointVm). 0 = only explicit checkpoints.
-  uint32_t checkpoint_every_ticks = 0;
 };
 
 // One orchestrator-initiated migration, successful or not. `report` carries
@@ -131,7 +125,7 @@ class Cluster {
 
   // Snapshots the VM (pausing around the save if running) and stores the
   // bytes as its respawn template. A host crash evacuates only VMs that have
-  // a template; keep them fresh with checkpoint_every_ticks.
+  // a template; keep them fresh with CheckpointVm or CheckpointAll.
   Status CheckpointVm(const std::string& name);
   // Checkpoints every running VM; returns how many were saved.
   size_t CheckpointAll();
@@ -149,8 +143,9 @@ class Cluster {
   void RunFor(SimTime duration);
 
   // One orchestrator pass: refresh load windows, evacuate failed hosts,
-  // periodic checkpoints, drain moves, hot-host rebalance. Public so tests
-  // can force a pass without waiting out the interval.
+  // drain moves, hot-host rebalance. Moves are pre-copy migrations with
+  // default MigrateOptions. Public so tests can force a pass without waiting
+  // out the interval.
   void DrsTick();
 
   // Busy fraction of `host` over the last completed DRS window — the load

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/fault/fault.h"
+#include "src/util/cost_model.h"
 
 namespace hyperion::core {
 
@@ -212,7 +213,7 @@ void Host::DispatchRound(SimTime window_end, SimTime end,
     work.ref = ref;
     // The budget deliberately ignores window_end: like the serial loop, a
     // slice may overrun the next event (the event is simply processed after).
-    work.budget = std::min<uint64_t>(config_.timeslice_cycles, end - t);
+    work.budget = std::min<uint64_t>(kTimesliceCycles, end - t);
     plan.slices.push_back(std::move(work));
   }
 }
@@ -238,10 +239,10 @@ void Host::CommitSlices(const CommitPhase& commit, RoundPlan& plan) {
     // Switching the pCPU to a different vCPU costs a world switch plus the
     // cold-cache tail; consolidation efficiency decays slightly with it.
     if (pcpu_last_entity_[work.pcpu] != work.id) {
-      done += config_.costs.context_switch;
+      done += kCosts.context_switch;
       pcpu_last_entity_[work.pcpu] = work.id;
       ++stats_.context_switches;
-      stats_.pcpu[work.pcpu].steal_cycles += config_.costs.context_switch;
+      stats_.pcpu[work.pcpu].steal_cycles += kCosts.context_switch;
     }
     pcpu_free_at_[work.pcpu] = done;
     pcpu_heap_.push({done, work.pcpu});

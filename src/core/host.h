@@ -30,7 +30,6 @@
 #include "src/mem/frame_pool.h"
 #include "src/net/network.h"
 #include "src/sched/scheduler.h"
-#include "src/util/cost_model.h"
 #include "src/util/phase.h"
 #include "src/util/sim_clock.h"
 
@@ -45,8 +44,6 @@ struct HostConfig {
   uint32_t num_pcpus = 4;
   uint64_t ram_bytes = 256u << 20;  // host physical memory
   sched::SchedPolicy sched_policy = sched::SchedPolicy::kCredit;
-  uint64_t timeslice_cycles = 1'000'000;  // 1 ms
-  CostModel costs;
   // Worker threads for the staged execution core. 0 runs every lane on the
   // host thread; N spawns a persistent pool of N threads (the host thread
   // participates too). -1 reads HYPERION_WORKERS at construction (default
@@ -74,7 +71,6 @@ class Host {
   mem::FramePool& pool() { return pool_; }
   net::VirtualSwitch& vswitch() { return switch_; }
   sched::Scheduler& scheduler() { return *sched_; }
-  const CostModel& costs() const { return config_.costs; }
   uint32_t worker_threads() const { return domain_->worker_threads(); }
 
   // --- VM management -----------------------------------------------------
@@ -151,6 +147,9 @@ class Host {
  private:
   friend class Vm;
   friend class TimeDomain;
+
+  // Longest slice a vCPU runs before the scheduler picks again: 1 ms.
+  static constexpr uint64_t kTimesliceCycles = 1'000'000;
 
   struct EntityRef {
     Vm* vm = nullptr;

@@ -28,8 +28,7 @@ Status Vm::Init(const SerialPhase& ph) {
   clock_owner_ = host_->clock().NewOwner();
   clock_ = ClockRef(&host_->clock(), clock_owner_);
   HYP_ASSIGN_OR_RETURN(memory_, mem::GuestMemory::Create(&host_->pool(), config_.ram_bytes));
-  virt_ = mmu::MakeVirtualizer(config_.paging_mode, memory_.get(), host_->costs(),
-                               config_.tlb_entries);
+  virt_ = mmu::MakeVirtualizer(config_.paging_mode, memory_.get());
   virt_->ConfigureVcpus(config_.num_vcpus);
   memory_->SetInvalidateHook([this](uint32_t gpn) { InvalidateGpn(gpn); });
 
@@ -45,13 +44,12 @@ Status Vm::Init(const SerialPhase& ph) {
     }
     if (config_.disk_model == IoModel::kEmulated) {
       emu_blk_ = std::make_unique<devices::EmulatedBlockDevice>(
-          config_.disk.get(), devices::IrqLine(&pic_, devices::kBlkIrq), clock_,
-          host_->costs());
+          config_.disk.get(), devices::IrqLine(&pic_, devices::kBlkIrq), clock_);
       HYP_RETURN_IF_ERROR(bus_.Map(devices::kBlkBase, devices::kDeviceWindow, emu_blk_.get()));
     } else {
       vblk_ = std::make_unique<virtio::VirtioBlk>(
           memory_.get(), devices::IrqLine(&pic_, devices::kVirtioIrqBase + 0),
-          config_.disk.get(), clock_, host_->costs());
+          config_.disk.get(), clock_);
       HYP_RETURN_IF_ERROR(
           bus_.Map(devices::kVirtioBase + 0 * devices::kVirtioStride, devices::kVirtioStride,
                    vblk_.get()));
@@ -71,7 +69,7 @@ Status Vm::Init(const SerialPhase& ph) {
     } else {
       vnet_ = std::make_unique<virtio::VirtioNet>(
           memory_.get(), devices::IrqLine(&pic_, devices::kVirtioIrqBase + 1),
-          &host_->vswitch(), config_.mac, clock_, config_.net_opts);
+          &host_->vswitch(), config_.mac, clock_);
       HYP_RETURN_IF_ERROR(
           bus_.Map(devices::kVirtioBase + 1 * devices::kVirtioStride, devices::kVirtioStride,
                    vnet_.get()));
@@ -91,7 +89,6 @@ Status Vm::Init(const SerialPhase& ph) {
     unit->ctx.memory = memory_.get();
     unit->ctx.virt = virt_.get();
     unit->ctx.mmio = &bus_;
-    unit->ctx.costs = &host_->costs();
     unit->ctx.virt_mode = config_.virt_mode;
     unit->ctx.state.hartid = i;
     // Secondary vCPUs park until the boot vCPU starts them (kStartVcpu).

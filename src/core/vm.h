@@ -49,14 +49,12 @@ struct VmConfig {
   cpu::DbtOptions dbt;  // tier-2 threshold / cache size (DBT engines only)
   cpu::VirtMode virt_mode = cpu::VirtMode::kHardwareAssist;
   sched::EntityConfig sched;
-  size_t tlb_entries = 256;
 
   IoModel disk_model = IoModel::kNone;
   std::shared_ptr<storage::BlockStore> disk;
 
   IoModel net_model = IoModel::kNone;
   net::MacAddr mac = 0;  // must be nonzero when net_model != kNone
-  virtio::VirtioNetOptions net_opts;
 };
 
 enum class VmState : uint8_t {

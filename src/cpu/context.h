@@ -11,7 +11,6 @@
 #include "src/cpu/state.h"
 #include "src/mem/guest_memory.h"
 #include "src/mmu/virtualizer.h"
-#include "src/util/cost_model.h"
 #include "src/util/phase.h"
 #include "src/util/sim_clock.h"
 
@@ -175,7 +174,6 @@ struct VcpuContext {
   mem::GuestMemory* memory = nullptr;
   mmu::MemoryVirtualizer* virt = nullptr;
   MmioHandler* mmio = nullptr;  // may be null: all MMIO faults the guest
-  const CostModel* costs = &CostModel::Default();
   VirtMode virt_mode = VirtMode::kHardwareAssist;
   // Phase the current Run call executes under (set by Vm::RunVcpuSlice to
   // the slice's ExecutePhase). Engines fall back to a runtime-checked

@@ -19,6 +19,7 @@
 
 #include "src/cpu/context.h"
 #include "src/isa/hv32.h"
+#include "src/util/cost_model.h"
 #include "src/util/phase.h"
 
 namespace hyperion::cpu {
@@ -26,7 +27,7 @@ namespace hyperion::cpu {
 class ExecCore {
  public:
   ExecCore(VcpuContext& ctx, ExecutionEngine* engine)
-      : ctx_(ctx), engine_(engine), guest_insn_cost_(ctx.costs->guest_insn) {
+      : ctx_(ctx), engine_(engine) {
     // The phase every side effect of this run charges to: the slice's
     // ExecutePhase when driven by the host run loop, or a runtime-checked
     // serial token when the engine is driven directly (tests, tools).
@@ -48,7 +49,7 @@ class ExecCore {
   // micro-ops instead of paying Charge + increment per instruction; the
   // totals are indistinguishable from n individual Execute() retirements.
   void RetireBulk(uint64_t n) {
-    cycles_ += n * guest_insn_cost_;
+    cycles_ += n * kCosts.guest_insn;
     instret_ += n;
   }
 
@@ -57,7 +58,7 @@ class ExecCore {
   // and must preserve the interception cost model.
   void ChargePrivileged() {
     if (ctx_.virt_mode == VirtMode::kTrapAndEmulate) {
-      Charge(ctx_.costs->vm_exit + ctx_.costs->emulate_insn);
+      Charge(kCosts.vm_exit + kCosts.emulate_insn);
       ++ctx_.stats.priv_emulations;
     }
   }
@@ -115,7 +116,7 @@ class ExecCore {
     if (line == static_cast<uint32_t>(isa::Interrupt::kSoftware)) {
       ++ctx_.stats.ipis_received;
     }
-    Charge(ctx_.costs->interrupt_inject);
+    Charge(kCosts.interrupt_inject);
     Vector(cause, 0);
     return true;
   }
@@ -152,7 +153,7 @@ class ExecCore {
     }
     ++ctx_.stats.mem_fastpath_hits;
     ctx_.virt->tlb().CreditFastHit();
-    Charge(ctx_.costs->tlb_hit);
+    Charge(kCosts.tlb_hit);
     return &e;
   }
 
@@ -238,7 +239,7 @@ class ExecCore {
       // logging for migration and SMC invalidation for the DBT engine.
       std::memcpy(fe->data + isa::VaPageOffset(va), &value, size);
       if (ctx_.memory->MarkDirty(fe->gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
+        Charge(kCosts.dirty_log_first_write);
         ++ctx_.stats.dirty_first_writes;
       }
       engine_->InvalidateCodePage(fe->gpn);
@@ -265,7 +266,7 @@ class ExecCore {
       uint8_t* page = ctx_.memory->pool().FrameData(t.frame);
       std::memcpy(page + isa::VaPageOffset(t.gpa), &value, size);
       if (ctx_.memory->MarkDirty(gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
+        Charge(kCosts.dirty_log_first_write);
         ++ctx_.stats.dirty_first_writes;
       }
       engine_->InvalidateCodePage(gpn);
@@ -293,7 +294,7 @@ class ExecCore {
     using isa::AluOp;
     using isa::Opcode;
     CpuState& s = ctx_.state;
-    Charge(guest_insn_cost_);
+    Charge(kCosts.guest_insn);
     ++instret_;
 
     switch (in.opcode) {
@@ -387,7 +388,7 @@ class ExecCore {
     // architectural.
     if (ctx_.virt_mode == VirtMode::kTrapAndEmulate) {
       ++ctx_.stats.priv_emulations;
-      return ctx_.costs->vm_exit + ctx_.costs->emulate_insn;
+      return kCosts.vm_exit + kCosts.emulate_insn;
     }
     return 40;  // native exception latency
   }
@@ -466,7 +467,7 @@ class ExecCore {
       case mmu::MemEvent::kPtWriteTrap: {
         // The guest wrote one of its own page-table pages: emulate the store
         // and surgically invalidate the shadow entries derived from it.
-        Charge(ctx_.costs->vm_exit + ctx_.costs->emulate_insn);
+        Charge(kCosts.vm_exit + kCosts.emulate_insn);
         ++ctx_.stats.pt_write_exits;
         uint8_t bytes[4];
         std::memcpy(bytes, &value, 4);
@@ -482,7 +483,7 @@ class ExecCore {
         return true;
       }
       case mmu::MemEvent::kCowBreak: {
-        Charge(ctx_.costs->vm_exit + ctx_.costs->cow_break);
+        Charge(kCosts.vm_exit + kCosts.cow_break);
         ++ctx_.stats.cow_breaks;
         uint32_t gpn = isa::PageNumber(out.gpa);
         Status st = ctx_.memory->BreakSharing(*phase_, gpn);
@@ -501,7 +502,7 @@ class ExecCore {
   }
 
   bool MmioLoad(uint32_t gpa, uint32_t va, uint32_t size, uint32_t* out) {
-    Charge(ctx_.costs->vm_exit + ctx_.costs->mmio_access);
+    Charge(kCosts.vm_exit + kCosts.mmio_access);
     ++ctx_.stats.mmio_exits;
     if (ctx_.mmio == nullptr) {
       Trap(isa::TrapCause::kLoadPageFault, va);
@@ -517,7 +518,7 @@ class ExecCore {
   }
 
   bool MmioStore(uint32_t gpa, uint32_t va, uint32_t size, uint32_t value) {
-    Charge(ctx_.costs->vm_exit + ctx_.costs->mmio_access);
+    Charge(kCosts.vm_exit + kCosts.mmio_access);
     ++ctx_.stats.mmio_exits;
     if (ctx_.mmio == nullptr) {
       Trap(isa::TrapCause::kStorePageFault, va);
@@ -731,7 +732,7 @@ class ExecCore {
       Trap(isa::TrapCause::kPrivilegeViolation, 0);
       return true;
     }
-    Charge(ctx_.costs->vm_exit + ctx_.costs->hypercall);
+    Charge(kCosts.vm_exit + kCosts.hypercall);
     ++ctx_.stats.hypercalls;
     s.pc += 4;  // the VMM resumes after the hypercall
     Exit(ExitReason::kHypercall);
@@ -795,7 +796,7 @@ class ExecCore {
           Trap(isa::TrapCause::kStorePageFault, va);
           return true;
         case mmu::MemEvent::kCowBreak: {
-          Charge(ctx_.costs->vm_exit + ctx_.costs->cow_break);
+          Charge(kCosts.vm_exit + kCosts.cow_break);
           ++ctx_.stats.cow_breaks;
           uint32_t gpn = isa::PageNumber(t.gpa);
           Status st = ctx_.memory->BreakSharing(*phase_, gpn);
@@ -820,7 +821,7 @@ class ExecCore {
       uint32_t next = is_add ? old + s.ReadReg(in.rs2) : s.ReadReg(in.rs2);
       std::memcpy(page + isa::VaPageOffset(t.gpa), &next, 4);
       if (ctx_.memory->MarkDirty(gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
+        Charge(kCosts.dirty_log_first_write);
         ++ctx_.stats.dirty_first_writes;
       }
       engine_->InvalidateCodePage(gpn);
@@ -918,7 +919,6 @@ class ExecCore {
   // See the constructor; `phase_` is never null after construction.
   std::optional<ScopedSerialPhase> fallback_phase_;
   const Phase* phase_ = nullptr;
-  const uint64_t guest_insn_cost_;  // hoisted: charged on every instruction
   RunResult result_;
   uint64_t cycles_ = 0;
   uint64_t instret_ = 0;

@@ -29,13 +29,11 @@ class EmulatedBlockDevice final : public MmioDevice {
  public:
   static constexpr uint32_t kMaxSectorsPerCmd = 8;
 
-  // `clock` may be invalid, in which case commands complete synchronously
-  // (useful in unit tests); with a clock, completion is scheduled at
-  // count * blk_sector_cost and the IRQ line fires. Passing an owner-tagged
-  // ClockRef lets the owning VM cancel in-flight completions on destruction.
-  EmulatedBlockDevice(storage::BlockStore* store, IrqLine irq, ClockRef clock,
-                      const CostModel& costs = CostModel::Default())
-      : store_(store), irq_(irq), clock_(clock), costs_(costs), buffer_(kMaxSectorsPerCmd * 512) {}
+  // Completion is scheduled on `clock` at count * blk_sector_cost and the IRQ
+  // line fires. Passing an owner-tagged ClockRef lets the owning VM cancel
+  // in-flight completions on destruction.
+  EmulatedBlockDevice(storage::BlockStore* store, IrqLine irq, ClockRef clock)
+      : store_(store), irq_(irq), clock_(clock), buffer_(kMaxSectorsPerCmd * 512) {}
 
   std::string_view name() const override { return "emu-blk"; }
   Result<uint32_t> Read(uint32_t offset, uint32_t size) override;
@@ -53,12 +51,11 @@ class EmulatedBlockDevice final : public MmioDevice {
 
  private:
   void StartCommand(const Phase& ph, uint32_t cmd);
-  void CompleteCommand(const Phase& ph, uint32_t cmd);
+  void CompleteCommand(const SerialPhase& ph, uint32_t cmd);
 
   storage::BlockStore* store_;
   IrqLine irq_;
   ClockRef clock_;
-  const CostModel& costs_;
 
   uint32_t lba_ = 0;
   uint32_t count_ = 1;

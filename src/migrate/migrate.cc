@@ -15,9 +15,7 @@ namespace hyperion::migrate {
 
 namespace {
 
-uint64_t PageWireBytes(const MigrateOptions& options) {
-  return isa::kPageSize + options.page_meta_bytes;
-}
+constexpr uint64_t kPageWireBytes = isa::kPageSize + kPageMetaBytes;
 
 // Conservative size of the non-RAM machine state on the wire.
 uint64_t MachineStateBytes(core::Vm& vm) {
@@ -35,7 +33,7 @@ class WireSender {
       : src_(src), options_(options), rep_(rep) {}
 
   // Sends one chunk of `bytes` covering `pages` page transfers. Returns
-  // false when the chunk was lost max_chunk_retries times. The caller
+  // false when the chunk was lost kMaxChunkRetries times. The caller
   // accounts the first attempt; retries account themselves.
   bool SendChunk(uint64_t bytes, uint64_t pages) {
     SimTime backoff = options_.retry_backoff;
@@ -53,7 +51,7 @@ class WireSender {
       if (!lost) {
         return true;
       }
-      if (attempt + 1 >= options_.max_chunk_retries) {
+      if (attempt + 1 >= kMaxChunkRetries) {
         return false;
       }
       ++rep_.retries;
@@ -113,7 +111,7 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
     return st;
   };
 
-  for (uint32_t round = 1; round <= options.max_precopy_rounds; ++round) {
+  for (uint32_t round = 1; round <= kMaxPrecopyRounds; ++round) {
     rep.rounds = round;
     SimTime round_start = src.clock().now();
     bool timed_out = false;
@@ -129,13 +127,12 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
           }
         }
       }
-      uint64_t bytes = (n - zero_pages) * PageWireBytes(options) +
-                       zero_pages * options.page_meta_bytes;
+      uint64_t bytes = (n - zero_pages) * kPageWireBytes + zero_pages * kPageMetaBytes;
       rep.pages_sent += n;
       rep.bytes_sent += bytes;
       if (!wire.SendChunk(bytes, n)) {
         return abort_rounds(AbortedError(
-            "pre-copy chunk lost " + std::to_string(options.max_chunk_retries) +
+            "pre-copy chunk lost " + std::to_string(kMaxChunkRetries) +
             " times; migration aborted with the source vm untouched"));
       }
       sent += n;
@@ -161,7 +158,7 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
       return abort_rounds(AbortedError("source vm crashed mid-migration: " +
                                        vm->crash_reason().ToString()));
     }
-    if (!timed_out && pending.size() <= options.stop_copy_threshold_pages) {
+    if (!timed_out && pending.size() <= kStopCopyThresholdPages) {
       break;
     }
     if (vm->state() != core::VmState::kRunning) {
@@ -185,7 +182,7 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
   size_t sent = 0;
   while (sent < pending.size()) {
     size_t n = std::min<size_t>(chunk_pages, pending.size() - sent);
-    uint64_t bytes = n * PageWireBytes(options);
+    uint64_t bytes = n * kPageWireBytes;
     rep.pages_sent += n;
     rep.bytes_sent += bytes;
     if (!wire.SendChunk(bytes, n)) {
@@ -299,7 +296,7 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
   // faulting slice (staged); background batches and every retry fire from
   // serial clock callbacks (direct).
   void SendPages(const Phase& ph, std::vector<uint32_t> pages, Step then, SimTime backoff) {
-    uint64_t bytes = pages.size() * PageWireBytes(options_);
+    uint64_t bytes = pages.size() * kPageWireBytes;
     rep_->pages_sent += pages.size();
     rep_->bytes_sent += bytes;
     auto self = weak_from_this();
@@ -368,7 +365,7 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
     std::vector<uint32_t> batch;
     for (uint32_t gpn : missing_) {
       batch.push_back(gpn);
-      if (batch.size() >= options_.background_batch_pages) {
+      if (batch.size() >= kBackgroundBatchPages) {
         break;
       }
     }

@@ -15,7 +15,7 @@
 // Fault tolerance: when MigrateOptions.fault carries a FaultInjector, every
 // wire transfer is subject to the plan's loss/outage/latency events. The RAM
 // stream moves in chunks; each chunk is retried with exponential backoff up
-// to max_chunk_retries, and pre-copy's pending set makes the stream
+// to kMaxChunkRetries attempts, and pre-copy's pending set makes the stream
 // resumable — only unacked pages are resent. Both flavors guarantee atomic
 // switchover: a migration that fails at any injected point returns an error
 // with the source VM running (if it was running) and consistent, and no VM
@@ -37,17 +37,24 @@ class FaultInjector;
 
 namespace hyperion::migrate {
 
+// Pre-copy: most iterative rounds before stop-and-copy is forced.
+inline constexpr uint32_t kMaxPrecopyRounds = 30;
+// Pre-copy: enter stop-and-copy when a round's dirty set is at most this
+// many pages.
+inline constexpr uint32_t kStopCopyThresholdPages = 64;
+// Per-page wire header; an all-zero page skipped by pre-copy sends only this.
+inline constexpr uint32_t kPageMetaBytes = 8;
+// Post-copy: pages pushed per background batch.
+inline constexpr uint32_t kBackgroundBatchPages = 32;
+// Attempts per RAM chunk before the migration aborts (pre-copy and
+// stop-and-copy).
+inline constexpr uint32_t kMaxChunkRetries = 6;
+
 struct MigrateOptions {
   net::LinkParams link{1'000'000'000ull, 50 * kSimTicksPerUs};  // 1 Gb/s, 50 us
-  uint32_t max_precopy_rounds = 30;
-  // Enter stop-and-copy when a round's dirty set is at most this many pages.
-  uint32_t stop_copy_threshold_pages = 64;
-  uint32_t page_meta_bytes = 8;  // per-page wire header
   // Pre-copy: scan pages and send a marker instead of 4 KiB for all-zero
   // pages (untouched guest RAM). Disable for the ablation baseline.
   bool skip_zero_pages = true;
-  // Post-copy: pages pushed per background batch.
-  uint32_t background_batch_pages = 32;
   // Post-copy: bound on how long to drive the destination until residency.
   SimTime postcopy_run_limit = 60 * kSimTicksPerSec;
 
@@ -57,8 +64,6 @@ struct MigrateOptions {
   std::string fault_site = "migrate:link";
   // RAM moves in chunks of this many pages; a chunk is the loss/retry unit.
   uint32_t chunk_pages = 128;
-  // Attempts per chunk before the migration aborts (pre-copy/stop-and-copy).
-  uint32_t max_chunk_retries = 6;
   // First retry delay; doubles per attempt up to the cap.
   SimTime retry_backoff = 5 * kSimTicksPerMs;
   SimTime retry_backoff_cap = 500 * kSimTicksPerMs;

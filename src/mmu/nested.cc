@@ -16,9 +16,8 @@ namespace {
 
 class NestedPaging final : public MemoryVirtualizer {
  public:
-  NestedPaging(mem::GuestMemory* memory, const CostModel& costs, size_t tlb_entries,
-               bool asid_tlb)
-      : MemoryVirtualizer(memory, costs, tlb_entries), asid_tlb_(asid_tlb) {}
+  NestedPaging(mem::GuestMemory* memory, bool asid_tlb)
+      : MemoryVirtualizer(memory), asid_tlb_(asid_tlb) {}
 
   std::string_view name() const override { return asid_tlb_ ? "nested+asid" : "nested"; }
 
@@ -41,7 +40,7 @@ class NestedPaging final : public MemoryVirtualizer {
       out.readable = e->readable;
       out.executable = e->executable;
       out.user = e->user;
-      out.cost = costs_.tlb_hit;
+      out.cost = kCosts.tlb_hit;
       return out;
     }
 
@@ -52,7 +51,7 @@ class NestedPaging final : public MemoryVirtualizer {
     WalkResult wr = WalkGuest(*memory_, ptbr, va, access, priv);
     uint64_t refs = static_cast<uint64_t>(wr.steps) * 3 + 2;
     stats_.walk_steps += refs;
-    uint64_t cost = refs * costs_.pt_walk_step;
+    uint64_t cost = refs * kCosts.pt_walk_step;
     if (!wr.ok) {
       TranslateOutcome out;
       out.event = MemEvent::kGuestFault;
@@ -62,7 +61,7 @@ class NestedPaging final : public MemoryVirtualizer {
       return out;
     }
 
-    TranslateOutcome out = ResolveGpa(wr.gpa, access, wr.writable, cost + costs_.tlb_fill);
+    TranslateOutcome out = ResolveGpa(wr.gpa, access, wr.writable, cost + kCosts.tlb_fill);
     out.readable = wr.readable;
     out.executable = wr.executable;
     out.user = wr.user;
@@ -106,10 +105,8 @@ class NestedPaging final : public MemoryVirtualizer {
 
 }  // namespace
 
-std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs, size_t tlb_entries,
-                                                    bool asid_tlb) {
-  return std::make_unique<NestedPaging>(memory, costs, tlb_entries, asid_tlb);
+std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory, bool asid_tlb) {
+  return std::make_unique<NestedPaging>(memory, asid_tlb);
 }
 
 }  // namespace hyperion::mmu

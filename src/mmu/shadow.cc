@@ -55,7 +55,7 @@ class ShadowPaging final : public MemoryVirtualizer {
       out.readable = e->readable;
       out.executable = e->executable;
       out.user = e->user;
-      out.cost = costs_.tlb_hit;
+      out.cost = kCosts.tlb_hit;
       return out;
     }
 
@@ -69,19 +69,19 @@ class ShadowPaging final : public MemoryVirtualizer {
       bool perm_ok = RightsAllow(access, se.readable, se.writable, se.executable) &&
                      (priv != isa::PrivMode::kUser || se.user);
       if (perm_ok) {
-        return FillFromShadow(va, se, costs_.pt_walk_step * 2 + costs_.tlb_fill);
+        return FillFromShadow(va, se, kCosts.pt_walk_step * 2 + kCosts.tlb_fill);
       }
       // Permission mismatch (e.g. first store to a clean page): resync below.
       root.map.erase(it);
     }
 
     // 3. Hidden page fault: VM exit, software walk, shadow sync.
-    uint64_t cost = costs_.vm_exit;
+    uint64_t cost = kCosts.vm_exit;
     ++stats_.hidden_faults;
     ++stats_.walks;
     WalkResult wr = WalkGuest(*memory_, ptbr, va, access, priv);
     stats_.walk_steps += static_cast<uint64_t>(wr.steps);
-    cost += static_cast<uint64_t>(wr.steps) * costs_.pt_walk_step;
+    cost += static_cast<uint64_t>(wr.steps) * kCosts.pt_walk_step;
     if (!wr.ok) {
       TranslateOutcome out;
       out.event = MemEvent::kGuestFault;
@@ -91,7 +91,7 @@ class ShadowPaging final : public MemoryVirtualizer {
       return out;
     }
 
-    cost += costs_.shadow_sync_entry;
+    cost += kCosts.shadow_sync_entry;
     TranslateOutcome out = ResolveGpa(wr.gpa, access, wr.writable, cost);
     out.readable = wr.readable;
     out.executable = wr.executable;
@@ -132,11 +132,11 @@ class ShadowPaging final : public MemoryVirtualizer {
         root->last_used = ++tick_;
         SetActiveRoot(root.get());
         ++stats_.root_switches;
-        return costs_.shadow_root_switch;
+        return kCosts.shadow_root_switch;
       }
     }
     SetActiveRoot(&CreateRoot(new_ptbr));
-    return costs_.shadow_root_build;
+    return kCosts.shadow_root_build;
   }
 
   void OnPtWriteEmulated(uint32_t gpa, uint32_t size) override {
@@ -450,9 +450,8 @@ class ShadowPaging final : public MemoryVirtualizer {
 
 }  // namespace
 
-std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs, size_t tlb_entries) {
-  return std::make_unique<ShadowPaging>(memory, costs, tlb_entries);
+std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory) {
+  return std::make_unique<ShadowPaging>(memory);
 }
 
 }  // namespace hyperion::mmu

@@ -30,7 +30,7 @@ void MemoryVirtualizer::InvalidateGpn(uint32_t gpn) {
 
 void MemoryVirtualizer::ConfigureVcpus(uint32_t num_vcpus) {
   while (tlbs_.size() < num_vcpus) {
-    tlbs_.emplace_back(tlb_entries_);
+    tlbs_.emplace_back();
   }
   while (tlbs_.size() > num_vcpus && tlbs_.size() > 1) {
     tlbs_.pop_back();
@@ -99,11 +99,11 @@ TranslateOutcome MemoryVirtualizer::TranslateBare(uint32_t va, Access access) {
       out.readable = e->readable;
       out.executable = e->executable;
       out.user = e->user;
-      out.cost = costs_.tlb_hit;
+      out.cost = kCosts.tlb_hit;
       return out;
     }
   }
-  TranslateOutcome out = ResolveGpa(va, access, /*pte_writable=*/true, costs_.tlb_fill);
+  TranslateOutcome out = ResolveGpa(va, access, /*pte_writable=*/true, kCosts.tlb_fill);
   // With no page tables every access kind is permitted.
   out.readable = true;
   out.executable = true;
@@ -123,15 +123,14 @@ TranslateOutcome MemoryVirtualizer::TranslateBare(uint32_t va, Access access) {
   return out;
 }
 
-std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory,
-                                                   const CostModel& costs, size_t tlb_entries) {
+std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory) {
   switch (mode) {
     case PagingMode::kShadow:
-      return MakeShadowPaging(memory, costs, tlb_entries);
+      return MakeShadowPaging(memory);
     case PagingMode::kNested:
-      return MakeNestedPaging(memory, costs, tlb_entries);
+      return MakeNestedPaging(memory);
     case PagingMode::kNestedAsid:
-      return MakeNestedPaging(memory, costs, tlb_entries, /*asid_tlb=*/true);
+      return MakeNestedPaging(memory, /*asid_tlb=*/true);
   }
   return nullptr;
 }

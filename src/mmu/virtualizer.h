@@ -76,11 +76,8 @@ struct MmuStats {
 
 class MemoryVirtualizer {
  public:
-  explicit MemoryVirtualizer(mem::GuestMemory* memory,
-                             const CostModel& costs = CostModel::Default(),
-                             size_t tlb_entries = 256)
-      : memory_(memory), costs_(costs), tlb_entries_(tlb_entries) {
-    tlbs_.emplace_back(tlb_entries);
+  explicit MemoryVirtualizer(mem::GuestMemory* memory) : memory_(memory) {
+    tlbs_.emplace_back();
     tlb_ = &tlbs_.front();
   }
   virtual ~MemoryVirtualizer() = default;
@@ -173,32 +170,24 @@ class MemoryVirtualizer {
   TranslateOutcome TranslateBare(uint32_t va, Access access);
 
   mem::GuestMemory* memory_;
-  const CostModel& costs_;
   // Per-vCPU TLBs (deque: growth must not move the active pointer). `tlb_`
   // always points at the active vCPU's TLB.
   std::deque<Tlb> tlbs_;
   Tlb* tlb_;
   uint32_t active_vcpu_ = 0;
-  size_t tlb_entries_;
   MmuStats stats_;
 };
 
 // Factory helpers.
-std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs = CostModel::Default(),
-                                                    size_t tlb_entries = 256);
+std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory);
 // `asid_tlb` enables address-space tags in the TLB, so PTBR switches keep
 // other spaces' translations warm (the ASID/PCID ablation of experiment F1c).
 std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs = CostModel::Default(),
-                                                    size_t tlb_entries = 256,
                                                     bool asid_tlb = false);
 
 enum class PagingMode : uint8_t { kShadow = 0, kNested = 1, kNestedAsid = 2 };
 
-std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory,
-                                                   const CostModel& costs = CostModel::Default(),
-                                                   size_t tlb_entries = 256);
+std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory);
 
 }  // namespace hyperion::mmu
 

@@ -2,13 +2,13 @@
 //
 // Hyperion charges a fixed simulated-cycle cost per event class instead of
 // measuring host wall-clock time, which keeps experiments deterministic.
-// The defaults are calibrated to era-typical *ratios* (a VM exit costs
+// The prices are calibrated to era-typical *ratios* (a VM exit costs
 // hundreds of guest instructions; a 2-D page walk costs ~4x a native walk;
 // MMIO emulation is the slowest path), which is what the benchmark shapes
 // depend on. Absolute values are in cycles of the nominal 1 GHz machine.
 //
-// This header is cross-cutting configuration used by the CPU, MMU, device
-// and VMM layers alike, which is why it lives in util.
+// The table is a compile-time constant, `kCosts`, read directly by the CPU,
+// MMU, device and VMM layers alike, which is why it lives in util.
 
 #ifndef SRC_UTIL_COST_MODEL_H_
 #define SRC_UTIL_COST_MODEL_H_
@@ -43,13 +43,10 @@ struct CostModel {
   uint64_t irq_latency = 200;       // line assertion to vCPU delivery
   uint64_t blk_sector_cost = 2200;  // storage backend per 512-byte sector
   uint64_t virtio_kick = 150;       // doorbell processing (beyond the exit)
-
-  // The canonical cost model used throughout hyperion.
-  static const CostModel& Default() {
-    static const CostModel model;
-    return model;
-  }
 };
+
+// The one cost model used throughout hyperion.
+inline constexpr CostModel kCosts{};
 
 }  // namespace hyperion
 

@@ -153,17 +153,13 @@ class SimClock {
     }
   }
 
-  // Runs events until the queue drains (or `max_events` fire). Returns the
-  // number of events dispatched.
-  size_t RunAll(const SerialPhase& ph, size_t max_events = SIZE_MAX) {
-    size_t fired = 0;
-    while (!queue_.empty() && fired < max_events) {
+  // Runs events until the queue drains.
+  void RunAll(const SerialPhase& ph) {
+    while (!queue_.empty()) {
       EventQueue::Event ev = queue_.Pop();
       now_ = ev.when;
       ev.fn(ph);
-      ++fired;
     }
-    return fired;
   }
 
   bool HasPending() const { return !queue_.empty(); }
@@ -212,7 +208,6 @@ class ClockRef {
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for SimClock*.
   ClockRef(SimClock* clock, uint64_t owner = 0) : clock_(clock), owner_(owner) {}
 
-  bool valid() const { return clock_ != nullptr; }
   SimClock* clock() const { return clock_; }
   uint64_t owner() const { return owner_; }
 

@@ -21,6 +21,11 @@ namespace {
 using isa::Instruction;
 using isa::Opcode;
 
+// Virtio windows the platform maps (kVirtioBase + slot * stride).
+constexpr uint32_t kMaxVirtioSlots = 8;
+// Safety valve for the abstract interpreter (well above any real guest).
+constexpr size_t kMaxSteps = 1u << 20;
+
 // ---------------------------------------------------------------------------
 // Abstract machine state
 // ---------------------------------------------------------------------------
@@ -201,12 +206,12 @@ class Linter {
     }
     discovered_ = add_root;
 
-    while (!pending_roots_.empty() && steps_ < options_.max_steps) {
+    while (!pending_roots_.empty() && steps_ < kMaxSteps) {
       Root root = pending_roots_.front();
       pending_roots_.pop_front();
       AnalyzeFunction(root);
     }
-    if (steps_ >= options_.max_steps) {
+    if (steps_ >= kMaxSteps) {
       Diag(Severity::kWarning, "analysis-limit", image_.entry(),
            "abstract interpretation step budget exhausted; image only "
            "partially verified");
@@ -301,7 +306,7 @@ class Linter {
         {devices::kPicBase, devices::kDeviceWindow},
         {devices::kBlkBase, devices::kDeviceWindow},
         {devices::kNetBase, devices::kDeviceWindow},
-        {devices::kVirtioBase, options_.max_virtio_slots * devices::kVirtioStride},
+        {devices::kVirtioBase, kMaxVirtioSlots * devices::kVirtioStride},
     };
     for (const Window& w : windows) {
       if (addr >= w.base && addr + size <= w.base + w.len) {
@@ -440,7 +445,7 @@ class Linter {
     FlowTo(root.pc, root.pc, entry, /*is_jump=*/true);
 
     while (!worklist.empty()) {
-      if (++steps_ >= options_.max_steps) {
+      if (++steps_ >= kMaxSteps) {
         return;
       }
       uint32_t pc = worklist.front();

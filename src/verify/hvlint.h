@@ -64,10 +64,6 @@ struct Diagnostic {
 struct LintOptions {
   bool check_sp = true;     // stack-pointer discipline on call/return paths
   bool check_mmio = true;   // wild device accesses
-  // Virtio windows the platform maps (kVirtioBase + slot * stride).
-  uint32_t max_virtio_slots = 8;
-  // Safety valve for the abstract interpreter (well above any real guest).
-  size_t max_steps = 1u << 20;
 };
 
 struct LintReport {

@@ -130,6 +130,9 @@ Status VirtioDevice::Write(const Phase& ph, uint32_t offset, uint32_t size, uint
     }
     case 0x18:
       queue(queue_sel_).set_ready(value != 0);
+      if (value != 0) {
+        OnQueueReady(ph, queue_sel_);
+      }
       return OkStatus();
     case 0x1C:
       if (value >= queues_.size()) {

@@ -233,6 +233,13 @@ class VirtioDevice : public devices::MmioDevice {
  protected:
   virtual Status ProcessQueue(const Phase& ph, uint16_t queue) = 0;
 
+  // Called after the driver sets QUEUE_READY on `queue`. Not a doorbell: it
+  // counts no kick and fails no register write.
+  virtual void OnQueueReady(const Phase& ph, uint16_t queue) {
+    (void)ph;
+    (void)queue;
+  }
+
   // Raises the used-ring ISR bit and the interrupt line.
   void NotifyGuest(const Phase& ph);
 

@@ -30,12 +30,8 @@ Status VirtioBlk::ProcessQueue(const Phase& ph, uint16_t q) {
     any = true;
   }
   if (any) {
-    if (clock_.valid()) {
-      clock_.ScheduleAfter(ph, total_sectors * costs_.blk_sector_cost,
-                           [this](const SerialPhase& sp) { NotifyGuest(sp); });
-    } else {
-      NotifyGuest(ph);
-    }
+    clock_.ScheduleAfter(ph, total_sectors * kCosts.blk_sector_cost,
+                         [this](const SerialPhase& sp) { NotifyGuest(sp); });
   }
   return OkStatus();
 }

@@ -31,15 +31,12 @@ inline constexpr uint8_t kBlkStatusUnsupported = 2;
 
 class VirtioBlk final : public VirtioDevice {
  public:
-  // `clock` may be invalid for synchronous completion (unit tests). An
-  // owner-tagged ClockRef lets the owning VM cancel in-flight completion
+  // Completions are scheduled on `clock` at total sectors * blk_sector_cost.
+  // An owner-tagged ClockRef lets the owning VM cancel in-flight completion
   // events on destruction.
   VirtioBlk(mem::GuestMemory* memory, devices::IrqLine irq, storage::BlockStore* store,
-            ClockRef clock, const CostModel& costs = CostModel::Default())
-      : VirtioDevice(kVirtioIdBlk, 1, memory, irq),
-        store_(store),
-        clock_(clock),
-        costs_(costs) {}
+            ClockRef clock)
+      : VirtioDevice(kVirtioIdBlk, 1, memory, irq), store_(store), clock_(clock) {}
 
   std::string_view name() const override { return "virtio-blk"; }
 
@@ -59,7 +56,6 @@ class VirtioBlk final : public VirtioDevice {
 
   storage::BlockStore* store_;
   ClockRef clock_;
-  const CostModel& costs_;
   BlkStats blk_stats_;
 };
 

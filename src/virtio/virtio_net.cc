@@ -19,6 +19,12 @@ Status VirtioNet::ProcessQueue(const Phase& ph, uint16_t q) {
   return OkStatus();
 }
 
+void VirtioNet::OnQueueReady(const Phase& ph, uint16_t q) {
+  if (q == kRxQueue) {
+    PumpRx(ph);
+  }
+}
+
 Status VirtioNet::DrainRound(const Phase& ph) {
   VirtQueue& vq = queue(kTxQueue);
   for (;;) {
@@ -39,9 +45,6 @@ Status VirtioNet::DrainRound(const Phase& ph) {
       }
       continue;
     }
-    if (!clock_.valid()) {
-      continue;  // no clock to poll on: drain synchronously until dry
-    }
     if (!tx_polling_) {
       tx_polling_ = true;
       ++poll_gen_;
@@ -50,7 +53,7 @@ Status VirtioNet::DrainRound(const Phase& ph) {
     // Pace the poll by the wire, not just the fixed interval: draining
     // faster than the egress link transmits only piles frames into the
     // switch's event queue without delivering any sooner.
-    SimTime delay = opts_.tx_poll_interval;
+    SimTime delay = kTxPollInterval;
     if (r.egress_clear > clock_.now()) {
       delay = std::max(delay, r.egress_clear - clock_.now());
     }
@@ -214,17 +217,12 @@ void VirtioNet::Serialize(ByteWriter& w) const {
 Status VirtioNet::Deserialize(const DirectPhase& ph, ByteReader& r) {
   HYP_RETURN_IF_ERROR(VirtioDevice::Deserialize(ph, r));
   HYP_ASSIGN_OR_RETURN(uint8_t polling, r.ReadU8());
-  // Without a clock there is nothing to re-arm; fall back to kick-driven
-  // drains rather than deadlocking behind a suppressed doorbell.
-  tx_polling_ = polling != 0 && clock_.valid();
+  tx_polling_ = polling != 0;
   ++poll_gen_;  // events scheduled before the restore are stale
-  if (polling != 0 && !tx_polling_) {
-    (void)queue(kTxQueue).SetNoNotify(memory(), false);  // re-arm doorbells
-  }
   if (tx_polling_) {
     // The snapshot caught us mid-poll; re-arm the poll event so the TX ring
     // does not deadlock behind a suppressed doorbell.
-    clock_.ScheduleAfter(ph, opts_.tx_poll_interval,
+    clock_.ScheduleAfter(ph, kTxPollInterval,
                          [this, gen = poll_gen_](const SerialPhase& sp) { PollTx(sp, gen); });
   }
   return OkStatus();

@@ -36,8 +36,6 @@ struct VirtioNetOptions {
   size_t rx_backlog_cap = 256;
   // TX chains drained per poll round before yielding the host.
   uint32_t tx_poll_budget = 32;
-  // Delay between poll rounds while the TX ring stays busy.
-  SimTime tx_poll_interval = 2 * kSimTicksPerUs;
 };
 
 class VirtioNet final : public VirtioDevice, public net::FrameSink {
@@ -46,10 +44,12 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
   static constexpr uint16_t kTxQueue = 1;
   static constexpr uint32_t kFrameHeaderBytes = 8;
 
-  // `clock` may be invalid (unit tests): polling then degrades to draining
-  // the TX ring synchronously on each kick.
+  // Delay between poll rounds while the TX ring stays busy.
+  static constexpr SimTime kTxPollInterval = 2 * kSimTicksPerUs;
+
+  // `clock` paces the TX poll events.
   VirtioNet(mem::GuestMemory* memory, devices::IrqLine irq, net::VirtualSwitch* vswitch,
-            net::MacAddr addr, ClockRef clock = ClockRef(), VirtioNetOptions opts = {})
+            net::MacAddr addr, ClockRef clock, VirtioNetOptions opts = {})
       : VirtioDevice(kVirtioIdNet, 2, memory, irq),
         switch_(vswitch),
         addr_(addr),
@@ -88,6 +88,8 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
 
  protected:
   Status ProcessQueue(const Phase& ph, uint16_t q) override;
+  // An RX queue made ready drains frames that arrived while it was not.
+  void OnQueueReady(const Phase& ph, uint16_t q) override;
 
  private:
   struct DrainResult {

@@ -188,7 +188,7 @@ TEST(ChaosTest, PreCopyAbortsCleanlyUnderTotalLoss) {
   EXPECT_EQ(vm->state(), VmState::kRunning);
   EXPECT_TRUE(dst.vms().empty());
   // The report records the robustness cost of the doomed attempt.
-  EXPECT_EQ(report.retries, ChaosOptions(nullptr).max_chunk_retries - 1);
+  EXPECT_EQ(report.retries, migrate::kMaxChunkRetries - 1);
   EXPECT_GT(report.pages_resent, 0u);
   // The source is unharmed: it keeps making progress afterwards.
   verify::SetAuditEnabled(true);
@@ -252,7 +252,7 @@ TEST(ChaosTest, PostCopyResendsALostDemandFetch) {
   src.RunFor(kSimTicksPerMs);
 
   migrate::MigrateOptions options = ChaosOptions(&inj);
-  ASSERT_EQ(options.background_batch_pages, 32u);
+  ASSERT_EQ(migrate::kBackgroundBatchPages, 32u);
   migrate::MigrationReport report;
   auto moved = migrate::PostCopyMigrate(src, vm, dst, options, &report);
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();  // residency reached

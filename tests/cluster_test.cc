@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,37 @@ TEST(ClusterTest, FabricLatencyIsCharged) {
   EXPECT_GT(fast, slow);
   EXPECT_LE(slow, 20u);
   EXPECT_GT(slow, 0u);
+}
+
+// Teardown with a cross-host frame still parked in a guest's RX backlog:
+// ping on h0 sends to a NIC on h1 whose guest never readies its RX queue, so
+// the frame, a buffer from h0's pool, waits on h1. Destroying the cluster
+// must release it while h0's pool is still alive.
+TEST(ClusterTest, TeardownReleasesFramesParkedOnAnotherHost) {
+  ClusterConfig cc;
+  cc.worker_threads = 0;
+  cc.drs.enabled = false;
+  auto cl = std::make_unique<Cluster>(cc);
+  Host* h0 = cl->AddHost();
+  Host* h1 = cl->AddHost();
+
+  guest::NetParams np;
+  np.peer_mac = 2;
+  np.payload_bytes = 64;
+  np.iterations = 0;  // ping forever
+  VmConfig ping_cfg{.name = "ping"};
+  ping_cfg.net_model = IoModel::kParavirt;
+  ping_cfg.mac = 1;
+  VmConfig mute_cfg{.name = "mute"};
+  mute_cfg.net_model = IoModel::kParavirt;
+  mute_cfg.mac = 2;
+  Boot(*cl, ping_cfg, guest::VirtioNetPingProgram(np), h0);
+  Vm* mute = Boot(*cl, mute_cfg, guest::IdleTickProgram(200'000), h1);
+
+  cl->RunFor(2 * kSimTicksPerMs);
+  EXPECT_GE(mute->virtio_net()->net_stats().rx_backlog_hwm, 1u);
+  EXPECT_EQ(mute->virtio_net()->net_stats().rx_frames, 0u);
+  cl.reset();  // h0 goes first; the parked frame must not outlive its pool
 }
 
 // --- Admission & placement -------------------------------------------------

@@ -313,6 +313,37 @@ TEST(NetworkTest, VirtioPingPong) {
   EXPECT_EQ(ping->virtio_net()->net_stats().rx_dropped, 0u);
 }
 
+// A frame that reaches a virtio-net device before its driver sets the RX
+// queue ready waits in the host-side backlog. The echo guest posts its RX
+// buffers in its image and never kicks RX, so setting QUEUE_READY must drain
+// the backlog, or ping and echo wait on each other forever.
+TEST(NetworkTest, FrameArrivingBeforeRxReadyIsDelivered) {
+  Host host;
+  guest::NetParams np;
+  np.peer_mac = 2;
+  np.payload_bytes = 64;
+  np.iterations = 4;
+
+  VmConfig ping_cfg{.name = "ping"};
+  ping_cfg.net_model = IoModel::kParavirt;
+  ping_cfg.mac = 1;
+  VmConfig echo_cfg{.name = "echo"};
+  echo_cfg.net_model = IoModel::kParavirt;
+  echo_cfg.mac = 2;
+
+  std::string ping_prog = guest::VirtioNetPingProgram(np);
+  Vm* echo = BootVm(host, echo_cfg, guest::VirtioNetEchoProgram(np.payload_bytes));
+  echo->Pause(TestPhase());  // its driver has not run yet
+  Vm* ping = BootVm(host, ping_cfg, ping_prog);
+  host.RunFor(kSimTicksPerMs);
+  EXPECT_GE(echo->virtio_net()->net_stats().rx_backlog_hwm, 1u);
+  EXPECT_EQ(echo->virtio_net()->net_stats().rx_frames, 0u);
+
+  echo->Resume(TestPhase());
+  host.RunFor(500 * kSimTicksPerMs);
+  EXPECT_EQ(ReadProgress(ping, ping_prog), 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots and provisioning
 // ---------------------------------------------------------------------------
@@ -347,6 +378,50 @@ TEST(SnapshotTest, SaveRestoreResumesExactly) {
   EXPECT_EQ((*restored)->state(), VmState::kShutdown);
   EXPECT_EQ(ReadProgress(vm, prog), kIters);
   EXPECT_EQ(ReadProgress(*restored, prog), kIters);
+}
+
+// A snapshot taken while virtio-net polls its TX ring (NO_NOTIFY set, so the
+// guest skips doorbells) must restore with the poll event re-armed: the
+// clone's guest still sees NO_NOTIFY, and nothing else would drain its ring.
+TEST(SnapshotTest, RestoreMidTxPollKeepsTransmitting) {
+  guest::NetStreamParams sp;  // honors NO_NOTIFY
+  VmConfig stream_cfg{.name = "stream"};
+  stream_cfg.net_model = IoModel::kParavirt;
+  stream_cfg.mac = 1;
+  VmConfig sink_cfg{.name = "sink"};
+  sink_cfg.net_model = IoModel::kParavirt;
+  sink_cfg.mac = sp.peer_mac;
+
+  Host src;
+  Vm* stream = BootVm(src, stream_cfg, guest::VirtioNetStreamProgram(sp));
+  BootVm(src, sink_cfg, guest::VirtioNetSinkProgram(sp));
+  for (int i = 0; i < 1000 && !stream->virtio_net()->tx_polling(); ++i) {
+    src.RunFor(10 * kSimTicksPerUs);
+  }
+  ASSERT_TRUE(stream->virtio_net()->tx_polling());
+  stream->Pause(TestPhase());
+  auto bytes = snapshot::SaveVm(*stream);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  Host dst;
+  BootVm(dst, sink_cfg, guest::VirtioNetSinkProgram(sp));
+  stream_cfg.name = "clone";
+  auto clone = snapshot::CloneVm(dst, stream_cfg, *bytes);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  const virtio::VirtioNet* nic = (*clone)->virtio_net();
+  ASSERT_TRUE(nic->tx_polling());
+
+  for (int i = 0; i < 100 && nic->net_stats().tx_frames == 0; ++i) {
+    dst.RunFor(kSimTicksPerUs);
+  }
+  EXPECT_GT(nic->net_stats().tx_frames, 0u);
+  EXPECT_GT(nic->net_stats().poll_rounds, 0u);
+  EXPECT_EQ(nic->stats().kicks, 0u);  // the poll event, not a doorbell, sent them
+
+  uint64_t sent = nic->net_stats().tx_frames;
+  dst.RunFor(kSimTicksPerMs);
+  EXPECT_GT(nic->net_stats().tx_frames, sent);
+  EXPECT_EQ((*clone)->state(), VmState::kRunning) << (*clone)->crash_reason().ToString();
 }
 
 TEST(SnapshotTest, CorruptionDetected) {

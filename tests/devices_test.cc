@@ -189,10 +189,11 @@ TEST(UartTest, SerializeRoundTrip) {
 class EmuBlkTest : public ::testing::Test {
  protected:
   EmuBlkTest()
-      : store_(64), dev_(&store_, IrqLine(&pic_, devices::kBlkIrq), /*clock=*/nullptr) {
+      : store_(64), dev_(&store_, IrqLine(&pic_, devices::kBlkIrq), &clock_) {
     (void)pic_.Write(TestPhase(), 0x04, 4, 1u << devices::kBlkIrq);
   }
 
+  SimClock clock_;
   InterruptController pic_;
   storage::MemBlockStore store_;
   EmulatedBlockDevice dev_;
@@ -205,7 +206,8 @@ TEST_F(EmuBlkTest, WriteCommandPersists) {
   for (uint32_t i = 0; i < 128; ++i) {
     ASSERT_TRUE(dev_.Write(TestPhase(), 0x10, 4, 0x1000 + i).ok());
   }
-  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 2).ok());  // CMD write (synchronous: no clock)
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 2).ok());  // CMD write
+  clock_.RunAll(TestPhase());
   EXPECT_EQ(*dev_.Read(0x0C, 4), 2u);        // data_ready, not busy
 
   uint8_t sector[512] = {};
@@ -221,7 +223,8 @@ TEST_F(EmuBlkTest, ReadCommandReturnsData) {
   ASSERT_TRUE(store_.WriteSectors(7, 1, sector).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x00, 4, 7).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 1).ok());
-  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());  // CMD read (synchronous)
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());  // CMD read
+  clock_.RunAll(TestPhase());
   EXPECT_EQ(*dev_.Read(0x10, 4), 0xDDCCBBAAu);
 }
 
@@ -234,6 +237,7 @@ TEST_F(EmuBlkTest, OutOfRangeCommandSetsError) {
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x00, 4, 63).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 8).ok());  // 63..70 exceeds 64-sector disk
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());
+  clock_.RunAll(TestPhase());
   EXPECT_EQ(*dev_.Read(0x0C, 4) & 4u, 4u);  // error bit
 }
 
@@ -246,7 +250,7 @@ TEST_F(EmuBlkTest, DeferredCompletionWithClock) {
   EXPECT_EQ(*timed.Read(0x0C, 4) & 1u, 1u);  // busy
   clock.RunAll(TestPhase());
   EXPECT_EQ(*timed.Read(0x0C, 4) & 1u, 0u);  // done
-  EXPECT_GE(clock.now(), 4 * CostModel::Default().blk_sector_cost);
+  EXPECT_GE(clock.now(), 4 * kCosts.blk_sector_cost);
 }
 
 TEST_F(EmuBlkTest, SerializeRoundTrip) {
@@ -254,7 +258,7 @@ TEST_F(EmuBlkTest, SerializeRoundTrip) {
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 3).ok());
   ByteWriter w;
   dev_.Serialize(w);
-  EmulatedBlockDevice restored(&store_, IrqLine(&pic_, devices::kBlkIrq), nullptr);
+  EmulatedBlockDevice restored(&store_, IrqLine(&pic_, devices::kBlkIrq), &clock_);
   ByteReader r(w.buffer());
   ASSERT_TRUE(restored.Deserialize(TestPhase(), r).ok());
   EXPECT_EQ(*restored.Read(0x00, 4), 9u);
@@ -401,7 +405,8 @@ TEST_F(VirtioRingTest, UsedRingPublishes) {
 TEST_F(VirtioRingTest, BlkDeviceExecutesWriteRequest) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, /*clock=*/nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(pic.Write(TestPhase(), 0x04, 4, 1u << 8).ok());
 
   // Configure queue 0 via registers.
@@ -425,6 +430,7 @@ TEST_F(VirtioRingTest, BlkDeviceExecutesWriteRequest) {
   PostAvail({0});
 
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());  // doorbell
+  clock.RunAll(TestPhase());
 
   EXPECT_EQ(blk.blk_stats().requests, 1u);
   EXPECT_EQ(blk.blk_stats().errors, 0u);
@@ -446,7 +452,8 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
   ASSERT_TRUE(disk.WriteSectors(9, 1, sector).ok());
 
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 4).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -461,6 +468,7 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
   WriteDesc(2, 0x32000, 1, virtio::kDescWrite, 0);
   PostAvail({0});
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());
+  clock.RunAll(TestPhase());
 
   EXPECT_EQ(*memory_->ReadU8(0x32000), virtio::kBlkStatusOk);
   std::vector<uint8_t> got(512);
@@ -471,7 +479,8 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
 TEST_F(VirtioRingTest, BlkMalformedRequestGetsErrorStatus) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 4).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -484,6 +493,7 @@ TEST_F(VirtioRingTest, BlkMalformedRequestGetsErrorStatus) {
   WriteDesc(1, 0x32000, 1, virtio::kDescWrite, 0);
   PostAvail({0});
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());
+  clock.RunAll(TestPhase());
   EXPECT_EQ(blk.blk_stats().errors, 1u);
   EXPECT_EQ(*memory_->ReadU8(0x32000), virtio::kBlkStatusUnsupported);
 }
@@ -530,7 +540,8 @@ TEST_F(VirtioRingTest, ConsoleRxDeliversIntoPostedBuffers) {
 TEST_F(VirtioRingTest, DeviceStateSerializeRoundTrip) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 8).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -591,7 +602,8 @@ TEST_F(VirtioRingTest, PushUsedWrapsAtSixtyFourK) {
 TEST_F(VirtioRingTest, RegisterValidation) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   EXPECT_EQ(*blk.Read(0x00, 4), virtio::kVirtioIdBlk);
   EXPECT_FALSE(blk.Write(TestPhase(), 0x04, 4, 5).ok());      // queue_sel out of range
   EXPECT_FALSE(blk.Write(TestPhase(), 0x08, 4, 3).ok());      // not a power of two
@@ -625,10 +637,9 @@ class VirtioNetTest : public VirtioRingTest {
 
   VirtioNetTest() : vswitch_(&clock_) {}
 
-  void Boot(virtio::VirtioNetOptions opts = {}, bool with_clock = true) {
+  void Boot(virtio::VirtioNetOptions opts = {}) {
     net_ = std::make_unique<virtio::VirtioNet>(
-        memory_.get(), IrqLine(&pic_, devices::kNetIrq), &vswitch_, /*addr=*/1,
-        with_clock ? ClockRef(&clock_) : ClockRef(), opts);
+        memory_.get(), IrqLine(&pic_, devices::kNetIrq), &vswitch_, /*addr=*/1, &clock_, opts);
     ASSERT_TRUE(vswitch_.Attach(TestPhase(), 1, net_.get()).ok());
     ASSERT_TRUE(vswitch_.Attach(TestPhase(), 2, &peer_).ok());
     ConfigureQueue(kRxQueue, kRxDesc, kRxAvail, kRxUsed);

@@ -347,7 +347,7 @@ TEST(PcpuStatsTest, PerPcpuAccountingReconcilesWithAggregates) {
   }
   EXPECT_GT(busy, 0u);
   EXPECT_EQ(busy, host.stats().cycles_executed);
-  EXPECT_EQ(steal, host.stats().context_switches * host.costs().context_switch);
+  EXPECT_EQ(steal, host.stats().context_switches * kCosts.context_switch);
   EXPECT_EQ(busy_pcpus, 2u);
   EXPECT_GT(idle, 0u);  // the third pCPU parked for most of the run
 }

@@ -32,6 +32,8 @@
 #     zero guests lost, every migration reconciled against its
 #     MigrationReport, bit-identical results across worker counts
 #
+# Every perf, net and cluster bound is in one table in tools/bench_gate.py.
+#
 # Stage numbers are printed by the stage() helper, so inserting a stage never
 # desynchronizes the [N/TOTAL] banners again.
 #
@@ -149,23 +151,7 @@ perf_smoke() {
     --benchmark_filter='BM_InterpreterHot|BM_DbtHot|BM_DbtTier1Hot' \
     --benchmark_min_time=0.2 --benchmark_repetitions=3 \
     --benchmark_format=json >build-perf/perf_smoke.json
-  python3 - build-perf/perf_smoke.json <<'EOF'
-import json, sys, statistics
-reps = {}
-for b in json.load(open(sys.argv[1]))["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    reps.setdefault(b["name"].split("/")[0], []).append(b["guest_mips"])
-interp = statistics.median(reps["BM_InterpreterHot"])
-tier1 = statistics.median(reps["BM_DbtTier1Hot"])
-tier2 = statistics.median(reps["BM_DbtHot"])
-ratio = tier2 / interp
-tier_ratio = tier2 / tier1
-print(f"perf smoke: interpreter {interp:.1f} MIPS, dbt tier-1 {tier1:.1f} MIPS, "
-      f"dbt tier-2 {tier2:.1f} MIPS; dbt/interp {ratio:.2f}x (floor 2.0), "
-      f"tier-2/tier-1 {tier_ratio:.2f}x (floor 1.10)")
-sys.exit(0 if ratio >= 2.0 and tier_ratio >= 1.10 else 1)
-EOF
+  python3 tools/bench_gate.py perf build-perf/perf_smoke.json
 }
 if ! perf_smoke; then
   echo "perf smoke: ratio below threshold once; retrying to absorb runner noise"
@@ -174,42 +160,17 @@ fi
 
 # Net data-plane gate: bench_net measures simulated time, so the numbers are
 # bit-identical run to run — one run, no retry. Enforces the batched path's
-# reason to exist: >=3x the per-frame seed throughput with <50 interrupts
-# per 1k frames at the 256-byte payload point.
+# reason to exist at the 256-byte payload point (bounds in
+# tools/bench_gate.py).
 build-perf/bench/bench_net --gate | tee build-perf/bench_net_gate.txt
-python3 - build-perf/bench_net_gate.txt <<'EOF'
-import re, sys
-text = open(sys.argv[1]).read()
-m = re.search(r"gate: perframe_fps=(\S+) batched_fps=(\S+) ratio=(\S+) "
-              r"batched_intr_per_1k=(\S+)", text)
-if not m:
-    print("net gate: summary line missing from bench_net output")
-    sys.exit(1)
-ratio, intr = float(m.group(3)), float(m.group(4))
-print(f"net gate: batched/per-frame ratio {ratio:.2f}x (floor 3.0), "
-      f"{intr:.1f} interrupts per 1k batched frames (ceiling 50)")
-sys.exit(0 if ratio >= 3.0 and intr < 50.0 else 1)
-EOF
+python3 tools/bench_gate.py net build-perf/bench_net_gate.txt
 
 stage "cluster gate: fleet lifecycle, worker-count bit-identity"
 # Deterministic like the net gate: simulated time, fixed scenario, one run.
 # The binary itself replays the scenario at 0 and 4 workers and compares
-# digests; the parser enforces conservation and reconciliation.
+# digests; the gate enforces conservation and reconciliation.
 build-perf/bench/bench_cluster --gate | tee build-perf/bench_cluster_gate.txt
-python3 - build-perf/bench_cluster_gate.txt <<'EOF'
-import re, sys
-text = open(sys.argv[1]).read()
-m = re.search(r"gate: vms=(\d+) lost=(\d+) migrations=(\d+) reconciled=(\d+) "
-              r"determinism=(\S+)", text)
-if not m:
-    print("cluster gate: summary line missing from bench_cluster output")
-    sys.exit(1)
-vms, lost, migrations, reconciled, det = m.groups()
-ok = int(lost) == 0 and int(migrations) > 0 and reconciled == migrations and det == "ok"
-print(f"cluster gate: {vms} guests, {lost} lost, {migrations} migrations "
-      f"({reconciled} reconciled), determinism {det}")
-sys.exit(0 if ok else 1)
-EOF
+python3 tools/bench_gate.py cluster build-perf/bench_cluster_gate.txt
 
 echo "ci: all stages passed"
 echo "ci: skipped: ${SKIPPED:-none}"
