@@ -87,21 +87,10 @@ struct MigrationReport {
 
   double DowntimeMs() const { return SimTimeToMs(downtime); }
   double TotalMs() const { return SimTimeToMs(total_time); }
-};
 
-// Field-by-field equality: two reports are equal iff the migrations behaved
-// identically (the chaos harness's determinism oracle).
-inline bool operator==(const MigrationReport& a, const MigrationReport& b) {
-  return a.rounds == b.rounds && a.pages_sent == b.pages_sent &&
-         a.bytes_sent == b.bytes_sent && a.total_time == b.total_time &&
-         a.downtime == b.downtime && a.demand_fetches == b.demand_fetches &&
-         a.demand_stall_total == b.demand_stall_total &&
-         a.retries == b.retries && a.timeouts == b.timeouts &&
-         a.pages_resent == b.pages_resent;
-}
-inline bool operator!=(const MigrationReport& a, const MigrationReport& b) {
-  return !(a == b);
-}
+  // Two reports are equal iff the migrations behaved identically.
+  bool operator==(const MigrationReport&) const = default;
+};
 
 // Migrates `vm` from `src` to `dst` with iterative pre-copy. On success the
 // source VM is left paused (caller destroys it) and the returned pointer is

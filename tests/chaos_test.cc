@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "src/guest/programs.h"
 #include "src/migrate/migrate.h"
 #include "src/verify/audit.h"
+#include "tests/observation.h"
 #include "tests/vm_test_util.h"
 
 namespace hyperion {
@@ -49,24 +49,12 @@ migrate::MigrateOptions ChaosOptions(fault::FaultInjector* inj) {
   return options;
 }
 
-struct ChaosOutcome {
-  bool ok = false;
-  StatusCode code = StatusCode::kOk;
-  migrate::MigrationReport report;
-  uint32_t src_digest = 0;
-  uint32_t dst_digest = 0;
-
-  bool operator==(const ChaosOutcome& other) const {
-    return ok == other.ok && code == other.code && report == other.report &&
-           src_digest == other.src_digest && dst_digest == other.dst_digest;
-  }
-};
-
 // One full chaos scenario: boot, run, migrate under the seed's random plan,
 // then apply the fidelity/atomicity oracles. The guest idles via wfi between
 // timer ticks (pre-copy) or parks after filling memory (post-copy), keeping
-// long injected outages cheap to simulate.
-ChaosOutcome RunChaos(uint64_t seed, bool post_copy) {
+// long injected outages cheap to simulate. Returns the pre-migration RAM
+// digest and everything observable at the end.
+Observation RunChaos(uint64_t seed, bool post_copy) {
   fault::ChaosProfile profile;
   profile.link_site = kLinkSite;
   profile.host_site = kHostSite;
@@ -83,12 +71,10 @@ ChaosOutcome RunChaos(uint64_t seed, bool post_copy) {
   EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
 
   migrate::MigrateOptions options = ChaosOptions(&inj);
-  ChaosOutcome out;
-  out.src_digest = RamDigest(*vm);  // pre-migration digest (determinism input)
-  auto moved = post_copy ? migrate::PostCopyMigrate(src, vm, dst, options, &out.report)
-                         : migrate::PreCopyMigrate(src, vm, dst, options, &out.report);
-  out.ok = moved.ok();
-  out.code = moved.status().code();
+  uint32_t pre_migration_digest = RamDigest(*vm);
+  migrate::MigrationReport report;
+  auto moved = post_copy ? migrate::PostCopyMigrate(src, vm, dst, options, &report)
+                         : migrate::PreCopyMigrate(src, vm, dst, options, &report);
 
   if (moved.ok()) {
     // Fidelity: the source is paused at the switchover point; the
@@ -97,14 +83,11 @@ ChaosOutcome RunChaos(uint64_t seed, bool post_copy) {
     // must match.
     EXPECT_EQ(vm->state(), VmState::kPaused) << "seed " << seed;
     EXPECT_EQ((*moved)->state(), VmState::kRunning) << "seed " << seed;
-    out.src_digest = RamDigest(*vm);
-    out.dst_digest = RamDigest(**moved);
-    EXPECT_EQ(out.src_digest, out.dst_digest)
-        << "guest memory diverged, seed " << seed;
+    EXPECT_EQ(RamDigest(*vm), RamDigest(**moved)) << "guest memory diverged, seed " << seed;
   } else {
     // Atomicity: clean abort. The source keeps running, the destination is
     // empty, and the runtime auditors stay green while the source continues.
-    EXPECT_EQ(out.code, StatusCode::kAborted)
+    EXPECT_EQ(moved.status().code(), StatusCode::kAborted)
         << "seed " << seed << ": " << moved.status().ToString();
     EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
     EXPECT_TRUE(dst.vms().empty()) << "half-VM left behind, seed " << seed;
@@ -116,18 +99,19 @@ ChaosOutcome RunChaos(uint64_t seed, bool post_copy) {
         << vm->crash_reason().ToString();
     verify::AuditReport frames = src.AuditFrameAccounting();
     EXPECT_TRUE(frames.ok()) << "seed " << seed << ":\n" << frames.ToString();
-    out.dst_digest = RamDigest(*vm);  // post-abort digest, still deterministic
   }
+  Observation out = ObserveMigration(moved, report, src, dst);
+  out.Add("pre-migration ram", pre_migration_digest);
   return out;
 }
 
 TEST(ChaosTest, PreCopySweepIsDeterministicAndSafe) {
   int aborted = 0;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
-    ChaosOutcome first = RunChaos(seed, /*post_copy=*/false);
-    ChaosOutcome second = RunChaos(seed, /*post_copy=*/false);
-    EXPECT_TRUE(first == second) << "non-deterministic replay, seed " << seed;
-    aborted += first.ok ? 0 : 1;
+    Observation first = RunChaos(seed, /*post_copy=*/false);
+    ExpectSameObservation(first, RunChaos(seed, /*post_copy=*/false),
+                          "replay at seed " + std::to_string(seed));
+    aborted += first.Get<bool>("migration ok") ? 0 : 1;
   }
   // The sweep must exercise both outcomes; if every plan aborts (or none
   // does), the generator stopped covering the interesting region.
@@ -136,9 +120,8 @@ TEST(ChaosTest, PreCopySweepIsDeterministicAndSafe) {
 
 TEST(ChaosTest, PostCopySweepIsDeterministicAndSafe) {
   for (uint64_t seed = 100; seed < 125; ++seed) {
-    ChaosOutcome first = RunChaos(seed, /*post_copy=*/true);
-    ChaosOutcome second = RunChaos(seed, /*post_copy=*/true);
-    EXPECT_TRUE(first == second) << "non-deterministic replay, seed " << seed;
+    ExpectSameObservation(RunChaos(seed, /*post_copy=*/true), RunChaos(seed, /*post_copy=*/true),
+                          "replay at seed " + std::to_string(seed));
   }
 }
 
@@ -295,23 +278,7 @@ TEST(ChaosTest, RoundTimeoutCarriesRemainderForward) {
 // ack word leaves a vCPU spinning forever and fails the run-limit instead.
 // ---------------------------------------------------------------------------
 
-struct SmpChaosOutcome {
-  bool ok = false;
-  StatusCode code = StatusCode::kOk;
-  migrate::MigrationReport report;
-  uint32_t progress = 0;
-  uint32_t end_digest = 0;
-  uint64_t shootdowns = 0;
-  uint64_t ipis_sent = 0;
-
-  bool operator==(const SmpChaosOutcome& other) const {
-    return ok == other.ok && code == other.code && report == other.report &&
-           progress == other.progress && end_digest == other.end_digest &&
-           shootdowns == other.shootdowns && ipis_sent == other.ipis_sent;
-  }
-};
-
-SmpChaosOutcome RunSmpChaos(uint64_t seed) {
+Observation RunSmpChaos(uint64_t seed) {
   fault::ChaosProfile profile;
   profile.link_site = kLinkSite;
   profile.host_site = kHostSite;
@@ -342,12 +309,11 @@ SmpChaosOutcome RunSmpChaos(uint64_t seed) {
   EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
 
   migrate::MigrateOptions options = ChaosOptions(&inj);
-  SmpChaosOutcome out;
   migrate::MigrationReport report;
   auto moved = migrate::PreCopyMigrate(src, vm, dst, options, &report);
-  out.ok = moved.ok();
-  out.code = moved.status().code();
-  out.report = report;
+  uint32_t progress = 0;
+  uint64_t shootdowns = 0;
+  uint64_t ipis_sent = 0;
 
   const uint32_t want_progress = params.num_vcpus * params.lock_iters;
   const uint64_t expected_events =
@@ -361,16 +327,15 @@ SmpChaosOutcome RunSmpChaos(uint64_t seed) {
         << "seed " << seed << ": destination never stopped";
     EXPECT_EQ((*moved)->state(), VmState::kShutdown)
         << "seed " << seed << ": " << (*moved)->crash_reason().ToString();
-    out.progress = (*moved)->memory().ReadU32(progress_addr).value_or(0);
+    progress = (*moved)->memory().ReadU32(progress_addr).value_or(0);
     cpu::VcpuStats total = vm->TotalStats();
     cpu::VcpuStats dst_total = (*moved)->TotalStats();
-    out.shootdowns = total.shootdowns + dst_total.shootdowns;
-    out.ipis_sent = total.ipis_sent + dst_total.ipis_sent;
-    out.end_digest = RamDigest(**moved);
+    shootdowns = total.shootdowns + dst_total.shootdowns;
+    ipis_sent = total.ipis_sent + dst_total.ipis_sent;
   } else {
     // Atomicity + liveness on the rolled-back source: the abort may not leave
     // a vCPU stuck on an ack from a half-delivered shootdown.
-    EXPECT_EQ(out.code, StatusCode::kAborted)
+    EXPECT_EQ(moved.status().code(), StatusCode::kAborted)
         << "seed " << seed << ": " << moved.status().ToString();
     EXPECT_EQ(vm->state(), VmState::kRunning) << "seed " << seed;
     EXPECT_TRUE(dst.vms().empty()) << "half-VM left behind, seed " << seed;
@@ -383,25 +348,25 @@ SmpChaosOutcome RunSmpChaos(uint64_t seed) {
         << "seed " << seed << ": " << vm->crash_reason().ToString();
     verify::AuditReport frames = src.AuditFrameAccounting();
     EXPECT_TRUE(frames.ok()) << "seed " << seed << ":\n" << frames.ToString();
-    out.progress = vm->memory().ReadU32(progress_addr).value_or(0);
+    progress = vm->memory().ReadU32(progress_addr).value_or(0);
     cpu::VcpuStats total = vm->TotalStats();
-    out.shootdowns = total.shootdowns;
-    out.ipis_sent = total.ipis_sent;
-    out.end_digest = RamDigest(*vm);
+    shootdowns = total.shootdowns;
+    ipis_sent = total.ipis_sent;
   }
   // Either way the gauntlet finished: all vCPUs graded, every shootdown
   // delivered exactly once across however many hosts the VM lived on.
-  EXPECT_EQ(out.progress, want_progress) << "seed " << seed;
-  EXPECT_EQ(out.shootdowns, expected_events) << "seed " << seed;
-  EXPECT_EQ(out.ipis_sent, expected_events) << "seed " << seed;
+  EXPECT_EQ(progress, want_progress) << "seed " << seed;
+  EXPECT_EQ(shootdowns, expected_events) << "seed " << seed;
+  EXPECT_EQ(ipis_sent, expected_events) << "seed " << seed;
+  Observation out = ObserveMigration(moved, report, src, dst);
+  out.Add("progress", progress);
   return out;
 }
 
 TEST(ChaosSmpTest, PreCopySweepOnFourVcpuGuestIsDeterministicAndLive) {
   for (uint64_t seed : {uint64_t{9101}, uint64_t{9102}}) {
-    SmpChaosOutcome first = RunSmpChaos(seed);
-    SmpChaosOutcome second = RunSmpChaos(seed);
-    EXPECT_TRUE(first == second) << "non-deterministic replay, seed " << seed;
+    ExpectSameObservation(RunSmpChaos(seed), RunSmpChaos(seed),
+                          "replay at seed " + std::to_string(seed));
   }
 }
 
@@ -417,17 +382,7 @@ TEST(ChaosSmpTest, PreCopySweepOnFourVcpuGuestIsDeterministicAndLive) {
 //    fabric counters — faults included.
 //  * Conservation: no guest is lost; every crash victim respawns elsewhere.
 
-struct ClusterChaosOutcome {
-  std::vector<std::string> guests;  // "name@host state digest insns", sorted
-  cluster::Fabric::Stats fabric;
-  cluster::ClusterStats stats;
-  bool h0_failed = false;
-  SimTime end = 0;
-
-  bool operator==(const ClusterChaosOutcome&) const = default;
-};
-
-ClusterChaosOutcome RunClusterChaos(uint64_t seed) {
+Observation RunClusterChaos(uint64_t seed) {
   constexpr char kWireSite[] = "fabric:wire";
   constexpr char kCrashSite[] = "h0:host";
 
@@ -449,21 +404,10 @@ ClusterChaosOutcome RunClusterChaos(uint64_t seed) {
   cl.fabric().SetFaultInjector(&inj, kWireSite);
   h0->SetFaultInjector(&inj, kCrashSite);
 
-  auto boot = [&](VmConfig config, const std::string& source, Host* pin) {
-    auto image = guest::Build(source);
-    EXPECT_TRUE(image.ok()) << image.status().ToString();
-    auto vm = cl.CreateVm(std::move(config), pin);
-    EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-    EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  };
-  std::vector<std::string> names;
-  boot(VmConfig{.name = "burn"}, guest::ComputeProgram(0), nullptr);
-  names.push_back("burn");
+  BootVm(cl, VmConfig{.name = "burn"}, guest::ComputeProgram(0));
   std::string idle = guest::IdleTickProgram(500'000);
   for (int i = 0; i < 5; ++i) {
-    std::string name = "idle" + std::to_string(i);
-    boot(VmConfig{.name = name}, idle, nullptr);
-    names.push_back(name);
+    BootVm(cl, VmConfig{.name = "idle" + std::to_string(i)}, idle);
   }
   guest::NetParams np;
   np.peer_mac = 2;
@@ -472,47 +416,30 @@ ClusterChaosOutcome RunClusterChaos(uint64_t seed) {
   VmConfig ping{.name = "ping"};
   ping.net_model = core::IoModel::kParavirt;
   ping.mac = 1;
-  boot(ping, guest::VirtioNetPingProgram(np), h0);  // pinned on the doomed host
-  names.push_back("ping");
+  BootVm(cl, ping, guest::VirtioNetPingProgram(np), h0);  // pinned on the doomed host
   VmConfig echo{.name = "echo"};
   echo.net_model = core::IoModel::kParavirt;
   echo.mac = 2;
-  boot(echo, guest::VirtioNetEchoProgram(np.payload_bytes), h1);
-  names.push_back("echo");
-  std::sort(names.begin(), names.end());
+  BootVm(cl, echo, guest::VirtioNetEchoProgram(np.payload_bytes), h1);
 
   cl.RunFor(8 * kSimTicksPerMs);
   cl.CheckpointAll();  // respawn templates, taken before the crash at t=12ms
   cl.RunFor(16 * kSimTicksPerMs);
-
-  ClusterChaosOutcome out;
-  for (const std::string& name : names) {
-    Vm* vm = cl.FindVm(name);
-    EXPECT_NE(vm, nullptr) << "seed " << seed << ": guest lost: " << name;
-    if (vm == nullptr) {
-      continue;
-    }
-    out.guests.push_back(name + "@" + cl.HostOf(name)->name() + " " +
-                         std::to_string(static_cast<int>(vm->state())) + " " +
-                         std::to_string(RamDigest(*vm)) + " " +
-                         std::to_string(vm->TotalStats().instructions));
-  }
-  out.fabric = cl.fabric().stats();
-  out.stats = cl.stats();
-  out.h0_failed = h0->failed();
-  out.end = cl.clock().now();
-  return out;
+  return Observe(cl);
 }
 
 TEST(ClusterChaosTest, FabricFaultSweepIsDeterministicAndConservesGuests) {
   for (uint64_t seed : {uint64_t{11}, uint64_t{12}, uint64_t{13}}) {
-    ClusterChaosOutcome first = RunClusterChaos(seed);
-    EXPECT_TRUE(first.h0_failed) << "seed " << seed;
-    EXPECT_EQ(first.guests.size(), 8u) << "seed " << seed;
-    EXPECT_EQ(first.stats.evacuations_lost, 0u) << "seed " << seed;
-    EXPECT_GT(first.stats.evacuations_respawned, 0u) << "seed " << seed;
-    ClusterChaosOutcome second = RunClusterChaos(seed);
-    EXPECT_TRUE(first == second) << "non-deterministic replay, seed " << seed;
+    Observation first = RunClusterChaos(seed);
+    const auto& stats = first.Get<cluster::ClusterStats>("cluster stats");
+    EXPECT_TRUE(first.Get<bool>("host h0 failed")) << "seed " << seed;
+    EXPECT_EQ(first.Get<std::vector<std::string>>("guests"),
+              (std::vector<std::string>{"burn", "echo", "idle0", "idle1", "idle2", "idle3",
+                                        "idle4", "ping"}))
+        << "seed " << seed;
+    EXPECT_EQ(stats.evacuations_lost, 0u) << "seed " << seed;
+    EXPECT_GT(stats.evacuations_respawned, 0u) << "seed " << seed;
+    ExpectSameObservation(first, RunClusterChaos(seed), "replay at seed " + std::to_string(seed));
   }
 }
 

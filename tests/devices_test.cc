@@ -242,15 +242,13 @@ TEST_F(EmuBlkTest, OutOfRangeCommandSetsError) {
 }
 
 TEST_F(EmuBlkTest, DeferredCompletionWithClock) {
-  SimClock clock;
-  EmulatedBlockDevice timed(&store_, IrqLine(&pic_, devices::kBlkIrq), &clock);
-  ASSERT_TRUE(timed.Write(TestPhase(), 0x00, 4, 0).ok());
-  ASSERT_TRUE(timed.Write(TestPhase(), 0x04, 4, 4).ok());
-  ASSERT_TRUE(timed.Write(TestPhase(), 0x08, 4, 1).ok());
-  EXPECT_EQ(*timed.Read(0x0C, 4) & 1u, 1u);  // busy
-  clock.RunAll(TestPhase());
-  EXPECT_EQ(*timed.Read(0x0C, 4) & 1u, 0u);  // done
-  EXPECT_GE(clock.now(), 4 * kCosts.blk_sector_cost);
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x00, 4, 0).ok());
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 4).ok());
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());
+  EXPECT_EQ(*dev_.Read(0x0C, 4) & 1u, 1u);  // busy
+  clock_.RunAll(TestPhase());
+  EXPECT_EQ(*dev_.Read(0x0C, 4) & 1u, 0u);  // done
+  EXPECT_GE(clock_.now(), 4 * kCosts.blk_sector_cost);
 }
 
 TEST_F(EmuBlkTest, SerializeRoundTrip) {

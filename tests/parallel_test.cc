@@ -10,13 +10,12 @@
 // auditors. They also pin down the DestroyVm lifetime fix: clock events
 // owned by a VM (armed timers, in-flight block completions) die with it.
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "src/storage/block_store.h"
 #include "src/virtio/virtio_net.h"
 #include "src/verify/audit.h"
+#include "tests/observation.h"
 #include "tests/vm_test_util.h"
 
 namespace hyperion {
@@ -57,34 +57,14 @@ migrate::MigrateOptions FaultyOptions(fault::FaultInjector* inj) {
   return options;
 }
 
-// Everything observable a scenario produces. Field-for-field equality is the
-// determinism oracle.
-struct ScenarioResult {
-  Host::HostStats src_stats;
-  Host::HostStats dst_stats;
-  std::vector<uint32_t> digests;       // per VM, creation order; migrated VM last
-  std::vector<std::string> consoles;   // same order
-  std::vector<uint64_t> instructions;  // same order
-  // Data-plane counters: the coalescing machinery (EVENT_IDX suppression,
-  // NAPI polling, burst delivery) must also replay bit-identically.
-  net::VirtualSwitch::Stats switch_stats;
-  std::vector<virtio::VirtioNet::NetStats> nic_stats;     // per paravirt NIC
-  std::vector<virtio::VirtioDevice::Stats> nic_dev_stats;  // same order
-  migrate::MigrationReport report;
-  bool migrate_ok = false;
-  StatusCode code = StatusCode::kOk;
-  SimTime src_now = 0;
-  SimTime dst_now = 0;
-
-  bool operator==(const ScenarioResult&) const = default;
-};
-
 // A dense consolidation scenario: 8 VMs covering every staged subsystem
 // (pure compute, timer sleeps via the clock, page dirtying through the frame
 // pool, a 2-vCPU SMP lane, emulated and virtio disks, a virtio-net
 // ping/echo pair through the switch), run under an injected host-pause/link
-// fault plan, with one VM live-migrating away mid-run.
-ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
+// fault plan, with one VM live-migrating away mid-run. Everything observable
+// comes back: both hosts, every VM on each (the migrated one twice), and the
+// migration's outcome and report.
+Observation RunScenario(int workers, uint64_t seed, bool short_run = false) {
   fault::ChaosProfile profile;
   profile.link_site = kLinkSite;
   profile.host_site = kHostSite;
@@ -96,16 +76,15 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   Host src(hc), dst(hc);
   src.SetFaultInjector(&inj, kHostSite);
 
-  std::vector<Vm*> vms;
-  vms.push_back(BootVm(src, VmConfig{.name = "compute"}, guest::ComputeProgram(0)));
-  vms.push_back(BootVm(src, VmConfig{.name = "idle"}, guest::IdleTickProgram(200'000)));
-  vms.push_back(BootVm(src, VmConfig{.name = "dirty"}, guest::DirtyRateProgram(48, 400)));
-  vms.push_back(BootVm(src, VmConfig{.name = "fill"},
-                     guest::PatternFillProgram(64, 8, static_cast<uint32_t>(seed))));
+  BootVm(src, VmConfig{.name = "compute"}, guest::ComputeProgram(0));
+  BootVm(src, VmConfig{.name = "idle"}, guest::IdleTickProgram(200'000));
+  BootVm(src, VmConfig{.name = "dirty"}, guest::DirtyRateProgram(48, 400));
+  BootVm(src, VmConfig{.name = "fill"},
+         guest::PatternFillProgram(64, 8, static_cast<uint32_t>(seed)));
 
   VmConfig smp{.name = "smp"};
   smp.num_vcpus = 2;
-  vms.push_back(BootVm(src, smp, guest::SmpCounterProgram(100'000)));
+  BootVm(src, smp, guest::SmpCounterProgram(100'000));
 
   auto edisk = std::make_shared<storage::MemBlockStore>(256);
   VmConfig eblk{.name = "eblk"};
@@ -115,7 +94,7 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   ep.iterations = 1'000'000;  // effectively forever: I/O flows all scenario
   ep.sectors = 2;
   ep.write = true;
-  vms.push_back(BootVm(src, eblk, guest::EmulatedBlkProgram(ep)));
+  BootVm(src, eblk, guest::EmulatedBlkProgram(ep));
 
   auto vdisk = std::make_shared<storage::MemBlockStore>(1024);
   VmConfig vblk{.name = "vblk"};
@@ -126,7 +105,7 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   vp.sectors = 4;
   vp.batch = 4;
   vp.write = true;
-  vms.push_back(BootVm(src, vblk, guest::VirtioBlkProgram(vp)));
+  BootVm(src, vblk, guest::VirtioBlkProgram(vp));
 
   guest::NetParams np;
   np.peer_mac = 2;
@@ -135,11 +114,11 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   VmConfig ping{.name = "ping"};
   ping.net_model = IoModel::kParavirt;
   ping.mac = 1;
-  vms.push_back(BootVm(src, ping, guest::VirtioNetPingProgram(np)));
+  BootVm(src, ping, guest::VirtioNetPingProgram(np));
   VmConfig echo{.name = "echo"};
   echo.net_model = IoModel::kParavirt;
   echo.mac = 2;
-  vms.push_back(BootVm(src, echo, guest::VirtioNetEchoProgram(np.payload_bytes)));
+  BootVm(src, echo, guest::VirtioNetEchoProgram(np.payload_bytes));
 
   // A bulk stream/sink pair with the full coalescing data plane engaged:
   // EVENT_IDX completions, kick-suppressed NAPI polling, burst delivery.
@@ -149,72 +128,49 @@ ScenarioResult RunScenario(int workers, uint64_t seed, bool short_run = false) {
   VmConfig stream{.name = "stream"};
   stream.net_model = IoModel::kParavirt;
   stream.mac = 3;
-  vms.push_back(BootVm(src, stream, guest::VirtioNetStreamProgram(sp)));
+  BootVm(src, stream, guest::VirtioNetStreamProgram(sp));
   VmConfig bulk_sink{.name = "sink"};
   bulk_sink.net_model = IoModel::kParavirt;
   bulk_sink.mac = 4;
-  vms.push_back(BootVm(src, bulk_sink, guest::VirtioNetSinkProgram(sp)));
+  BootVm(src, bulk_sink, guest::VirtioNetSinkProgram(sp));
 
   SimTime unit = short_run ? 2 * kSimTicksPerMs : 10 * kSimTicksPerMs;
   src.RunFor(3 * unit);
 
-  ScenarioResult out;
-  Vm* mover = src.FindVm("idle");
-  auto moved = migrate::PreCopyMigrate(src, mover, dst, FaultyOptions(&inj), &out.report);
-  out.migrate_ok = moved.ok();
-  out.code = moved.status().code();
+  migrate::MigrationReport report;
+  auto moved =
+      migrate::PreCopyMigrate(src, src.FindVm("idle"), dst, FaultyOptions(&inj), &report);
 
   src.RunFor(2 * unit);
   dst.RunFor(2 * unit);
 
-  for (Vm* vm : vms) {
-    out.digests.push_back(RamDigest(*vm));
-    out.consoles.push_back(vm->console());
-    out.instructions.push_back(vm->TotalStats().instructions);
-  }
-  if (moved.ok()) {
-    out.digests.push_back(RamDigest(**moved));
-    out.consoles.push_back((*moved)->console());
-    out.instructions.push_back((*moved)->TotalStats().instructions);
-  }
-  out.switch_stats = src.vswitch().stats();
-  for (Vm* vm : vms) {
-    if (vm->virtio_net() != nullptr) {
-      out.nic_stats.push_back(vm->virtio_net()->net_stats());
-      out.nic_dev_stats.push_back(vm->virtio_net()->stats());
-    }
-  }
-  out.src_stats = src.stats();
-  out.dst_stats = dst.stats();
-  out.src_now = src.clock().now();
-  out.dst_now = dst.clock().now();
-  return out;
+  return ObserveMigration(moved, report, src, dst);
 }
 
 // The tentpole guarantee: worker count changes wall-clock speed only. The
-// whole observable state — RAM digests, consoles, instruction counts,
-// HostStats, the MigrationReport, final clocks — must match bit-for-bit
-// across {0, 1, 4} workers.
+// whole observable state — RAM digests, consoles, per-vCPU and host stats,
+// the data-plane counters, the MigrationReport, final clocks — must match
+// bit-for-bit across {0, 1, 4} workers.
 TEST(StagedExecutionTest, ResultsAreIdenticalAcrossWorkerCounts) {
-  ScenarioResult serial = RunScenario(/*workers=*/0, /*seed=*/42);
-  ScenarioResult one = RunScenario(/*workers=*/1, /*seed=*/42);
-  ScenarioResult four = RunScenario(/*workers=*/4, /*seed=*/42);
+  Observation serial = RunScenario(/*workers=*/0, /*seed=*/42);
+  Observation one = RunScenario(/*workers=*/1, /*seed=*/42);
+  Observation four = RunScenario(/*workers=*/4, /*seed=*/42);
   // The equality below must not hold vacuously: the stream/sink pair has to
   // actually exercise kick suppression and burst delivery in this scenario.
   uint64_t suppressed = 0;
   uint64_t burst_frames = 0;
-  for (const auto& s : serial.nic_stats) {
+  for (const auto& s : serial.All<virtio::VirtioNet::NetStats>()) {
     suppressed += s.kicks_suppressed;
     burst_frames += s.burst_frames;
   }
   EXPECT_GT(suppressed, 0u) << "NAPI polling never engaged";
   EXPECT_GT(burst_frames, 0u) << "no coalesced burst deliveries";
-  EXPECT_GT(serial.switch_stats.bursts_delivered, 0u);
-  EXPECT_TRUE(serial == one) << "1-worker run diverged from serial";
-  EXPECT_TRUE(serial == four) << "4-worker run diverged from serial";
+  EXPECT_GT(serial.Get<net::VirtualSwitch::Stats>("src host host switch").bursts_delivered, 0u);
+  ExpectSameObservation(serial, one, "1-worker run vs serial");
+  ExpectSameObservation(serial, four, "4-worker run vs serial");
   // And the scenario itself replays deterministically at a fixed count.
-  ScenarioResult again = RunScenario(/*workers=*/4, /*seed=*/42);
-  EXPECT_TRUE(four == again) << "4-worker run is not replay-deterministic";
+  ExpectSameObservation(four, RunScenario(/*workers=*/4, /*seed=*/42),
+                        "4-worker replay vs 4-worker run");
 }
 
 // Ten chaos seeds at 4 workers, with the runtime auditors armed the whole
@@ -227,10 +183,10 @@ class ChaosSweep : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ChaosSweep, AtFourWorkersMatchesSerialUnderAudit) {
   uint64_t seed = GetParam();
   verify::SetAuditEnabled(true);
-  ScenarioResult serial = RunScenario(/*workers=*/0, seed, /*short_run=*/true);
-  ScenarioResult four = RunScenario(/*workers=*/4, seed, /*short_run=*/true);
+  Observation serial = RunScenario(/*workers=*/0, seed, /*short_run=*/true);
+  Observation four = RunScenario(/*workers=*/4, seed, /*short_run=*/true);
   verify::SetAuditEnabled(false);
-  EXPECT_TRUE(serial == four) << "divergence at seed " << seed;
+  ExpectSameObservation(serial, four, "4 workers vs serial at seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(StagedExecutionTest, ChaosSweep, ::testing::Range<uint64_t>(1, 11),
@@ -244,19 +200,8 @@ INSTANTIATE_TEST_SUITE_P(StagedExecutionTest, ChaosSweep, ::testing::Range<uint6
 
 // Everything a 4-vCPU MCS-lock/shootdown run can observably produce,
 // including the whole per-vCPU stat blocks (ipis_sent, ipis_received,
-// shootdowns among them).
-struct SmpResult {
-  uint32_t digest = 0;
-  std::string console;
-  std::vector<cpu::VcpuStats> stats;
-  VmState state = VmState::kRunning;
-  uint32_t progress = 0;
-  SimTime now = 0;
-
-  bool operator==(const SmpResult&) const = default;
-};
-
-SmpResult RunSmpMcsScenario(int workers) {
+// shootdowns among them) and the lock's progress word.
+Observation RunSmpMcsScenario(int workers) {
   HostConfig hc;
   hc.worker_threads = workers;
   hc.num_pcpus = 4;
@@ -274,20 +219,9 @@ SmpResult RunSmpMcsScenario(int workers) {
   // headroom without simulating the compute VM for long after.
   host.RunFor(50 * kSimTicksPerMs);
 
-  SmpResult out;
-  out.digest = RamDigest(*vm);
-  out.console = vm->console();
-  for (uint32_t i = 0; i < vm->num_vcpus(); ++i) {
-    out.stats.push_back(vm->vcpu(i).stats);
-  }
-  out.state = vm->state();
-  auto image = guest::Build(prog);
-  EXPECT_TRUE(image.ok());
-  auto addr = guest::ProgressAddress(*image);
-  EXPECT_TRUE(addr.ok());
-  out.progress = vm->memory().ReadU32(*addr).value_or(0);
-  out.now = host.clock().now();
   EXPECT_GT(other->TotalStats().instructions, 0u);
+  Observation out = Observe(host);
+  out.Add("progress", ReadProgress(vm, prog));
   return out;
 }
 
@@ -295,20 +229,19 @@ SmpResult RunSmpMcsScenario(int workers) {
 // doorbells, cross-vCPU TLB shootdowns — must replay bit-identically at any
 // worker count: same RAM digest, same console, same per-vCPU stat blocks.
 TEST(StagedExecutionTest, SmpMcsLockIsIdenticalAcrossWorkerCounts) {
-  SmpResult serial = RunSmpMcsScenario(/*workers=*/0);
+  Observation serial = RunSmpMcsScenario(/*workers=*/0);
   // Non-vacuity: the run finished, held the lock, and actually shot down.
   guest::SmpLockParams p;
-  EXPECT_EQ(serial.state, VmState::kShutdown);
-  EXPECT_EQ(serial.progress, p.num_vcpus * p.lock_iters);
-  EXPECT_GT(serial.stats[0].ipis_sent, 0u);
+  EXPECT_EQ(serial.Get<VmState>("vm mcs state"), VmState::kShutdown);
+  EXPECT_EQ(serial.Get<uint32_t>("progress"), p.num_vcpus * p.lock_iters);
+  EXPECT_GT(serial.Get<cpu::VcpuStats>("vm mcs vcpu0").ipis_sent, 0u);
   for (uint32_t i = 1; i < p.num_vcpus; ++i) {
-    EXPECT_GT(serial.stats[i].ipis_received, 0u) << "vcpu " << i;
-    EXPECT_GT(serial.stats[i].shootdowns, 0u) << "vcpu " << i;
+    const auto& stats = serial.Get<cpu::VcpuStats>("vm mcs vcpu" + std::to_string(i));
+    EXPECT_GT(stats.ipis_received, 0u) << "vcpu " << i;
+    EXPECT_GT(stats.shootdowns, 0u) << "vcpu " << i;
   }
-  SmpResult one = RunSmpMcsScenario(/*workers=*/1);
-  SmpResult four = RunSmpMcsScenario(/*workers=*/4);
-  EXPECT_TRUE(serial == one) << "1-worker SMP run diverged from serial";
-  EXPECT_TRUE(serial == four) << "4-worker SMP run diverged from serial";
+  ExpectSameObservation(serial, RunSmpMcsScenario(/*workers=*/1), "1-worker SMP run vs serial");
+  ExpectSameObservation(serial, RunSmpMcsScenario(/*workers=*/4), "4-worker SMP run vs serial");
 }
 
 // ---------------------------------------------------------------------------
@@ -369,10 +302,6 @@ TEST(DestroyVmTest, CancelsInflightVirtioBlkCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkerPool
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Cluster acceptance scenario (DESIGN.md §13): a 4-host fleet of 64 VMs under
 // churn — arrivals and departures, one rolling-maintenance drain, one
 // injected host crash with checkpoint respawn, DRS rebalancing, and a
@@ -381,21 +310,7 @@ TEST(DestroyVmTest, CancelsInflightVirtioBlkCompletion) {
 // TimeDomain, so the same staged-commit argument covers the fleet.
 // ---------------------------------------------------------------------------
 
-struct ClusterScenarioResult {
-  // "name@host state digest insns", sorted by name — one line per surviving
-  // guest, including respawned crash victims.
-  std::vector<std::string> guests;
-  std::vector<Host::HostStats> host_stats;
-  std::vector<net::VirtualSwitch::Stats> switch_stats;
-  cluster::Fabric::Stats fabric_stats;
-  cluster::ClusterStats cluster_stats;
-  std::vector<cluster::MigrationRecord> migrations;
-  SimTime now = 0;
-
-  bool operator==(const ClusterScenarioResult&) const = default;
-};
-
-ClusterScenarioResult RunClusterScenario(int workers) {
+Observation RunClusterScenario(int workers) {
   cluster::ClusterConfig cc;
   cc.worker_threads = workers;
   cc.cpu_overcommit = 32.0;
@@ -417,20 +332,12 @@ ClusterScenarioResult RunClusterScenario(int workers) {
 
   std::string idle = guest::IdleTickProgram(500'000);
   std::string compute = guest::ComputeProgram(0);
-  auto boot = [&](VmConfig config, const std::string& source, Host* pin = nullptr) {
-    auto image = guest::Build(source);
-    EXPECT_TRUE(image.ok()) << image.status().ToString();
-    auto vm = cl.CreateVm(std::move(config), pin);
-    EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-    EXPECT_TRUE((*vm)->LoadImage(*image).ok());
-  };
-
   // 62 bulk VMs (every 16th is a cycle burner, the rest tick idly) plus a
   // pinned cross-host ping/echo pair: 64 guests.
   for (int i = 0; i < 62; ++i) {
     char name[8];
     std::snprintf(name, sizeof(name), "vm%02d", i);
-    boot(VmConfig{.name = name}, i % 16 == 0 ? compute : idle);
+    BootVm(cl, VmConfig{.name = name}, i % 16 == 0 ? compute : idle);
   }
   guest::NetParams np;
   np.peer_mac = 2;
@@ -439,11 +346,11 @@ ClusterScenarioResult RunClusterScenario(int workers) {
   VmConfig ping{.name = "ping"};
   ping.net_model = IoModel::kParavirt;
   ping.mac = 1;
-  boot(ping, guest::VirtioNetPingProgram(np), hosts[0]);
+  BootVm(cl, ping, guest::VirtioNetPingProgram(np), hosts[0]);
   VmConfig echo{.name = "echo"};
   echo.net_model = IoModel::kParavirt;
   echo.mac = 2;
-  boot(echo, guest::VirtioNetEchoProgram(np.payload_bytes), hosts[2]);
+  BootVm(cl, echo, guest::VirtioNetEchoProgram(np.payload_bytes), hosts[2]);
 
   cl.RunFor(6 * kSimTicksPerMs);
 
@@ -454,7 +361,7 @@ ClusterScenarioResult RunClusterScenario(int workers) {
     EXPECT_TRUE(cl.DestroyVm(name).ok());
   }
   for (int i = 0; i < 9; ++i) {
-    boot(VmConfig{.name = "new" + std::to_string(i)}, idle);
+    BootVm(cl, VmConfig{.name = "new" + std::to_string(i)}, idle);
   }
   cl.RunFor(6 * kSimTicksPerMs);
 
@@ -463,60 +370,28 @@ ClusterScenarioResult RunClusterScenario(int workers) {
   cl.CheckpointAll();
   EXPECT_TRUE(cl.DrainHost(hosts[3]).ok());
   cl.RunFor(13 * kSimTicksPerMs);
-
-  ClusterScenarioResult out;
-  std::vector<std::string> names;
-  for (int i = 0; i < 62; ++i) {
-    if (i % 7 == 0) {
-      continue;  // departed
-    }
-    char name[8];
-    std::snprintf(name, sizeof(name), "vm%02d", i);
-    names.push_back(name);
-  }
-  for (int i = 0; i < 9; ++i) {
-    names.push_back("new" + std::to_string(i));
-  }
-  names.push_back("ping");
-  names.push_back("echo");
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
-    Vm* vm = cl.FindVm(name);
-    EXPECT_NE(vm, nullptr) << "guest lost: " << name;
-    if (vm == nullptr) {
-      continue;
-    }
-    out.guests.push_back(name + "@" + cl.HostOf(name)->name() + " " +
-                         std::to_string(static_cast<int>(vm->state())) + " " +
-                         std::to_string(RamDigest(*vm)) + " " +
-                         std::to_string(vm->TotalStats().instructions));
-  }
-  for (Host* h : hosts) {
-    out.host_stats.push_back(h->stats());
-    out.switch_stats.push_back(h->vswitch().stats());
-  }
-  out.fabric_stats = cl.fabric().stats();
-  out.cluster_stats = cl.stats();
-  out.migrations = cl.migrations();
-  out.now = cl.clock().now();
-  return out;
+  return Observe(cl);
 }
 
 TEST(ClusterStagedTest, FleetUnderChurnIsIdenticalAcrossWorkerCounts) {
-  ClusterScenarioResult serial = RunClusterScenario(/*workers=*/0);
+  Observation serial = RunClusterScenario(/*workers=*/0);
 
   // Non-vacuity: the scenario must actually have exercised every moving
-  // part — evacuation, drain, the fabric, and DRS accounting.
-  EXPECT_EQ(serial.guests.size(), 64u);
-  EXPECT_EQ(serial.cluster_stats.evacuations_lost, 0u);
-  EXPECT_GT(serial.cluster_stats.evacuations_respawned, 0u);
-  EXPECT_GT(serial.cluster_stats.drain_migrations, 0u);
-  EXPECT_GT(serial.fabric_stats.frames_forwarded, 0u);
-  EXPECT_EQ(serial.fabric_stats.frames_no_route, 0u);
+  // part — evacuation, drain, the fabric, and DRS accounting. All 64 guests
+  // survive: the 62 bulk VMs less 9 departures, 9 arrivals, ping and echo.
+  const auto& stats = serial.Get<cluster::ClusterStats>("cluster stats");
+  const auto& fabric = serial.Get<cluster::Fabric::Stats>("fabric");
+  EXPECT_EQ(serial.Get<std::vector<std::string>>("guests").size(), 64u);
+  EXPECT_EQ(stats.evacuations_lost, 0u);
+  EXPECT_GT(stats.evacuations_respawned, 0u);
+  EXPECT_GT(stats.drain_migrations, 0u);
+  EXPECT_GT(fabric.frames_forwarded, 0u);
+  EXPECT_EQ(fabric.frames_no_route, 0u);
   // Every DRS move reconciles against its MigrationReport: a claimed success
   // shipped pages and kept blackout bounded; totals match the stats.
   uint64_t ok_moves = 0;
-  for (const cluster::MigrationRecord& rec : serial.migrations) {
+  for (const cluster::MigrationRecord& rec :
+       serial.Get<std::vector<cluster::MigrationRecord>>("migrations")) {
     if (rec.ok) {
       ++ok_moves;
       EXPECT_GT(rec.report.pages_sent, 0u) << rec.vm;
@@ -524,14 +399,28 @@ TEST(ClusterStagedTest, FleetUnderChurnIsIdenticalAcrossWorkerCounts) {
       EXPECT_LT(rec.report.downtime, 10 * kSimTicksPerMs) << rec.vm;
     }
   }
-  EXPECT_EQ(ok_moves, serial.cluster_stats.drain_migrations +
-                          serial.cluster_stats.rebalance_migrations);
+  EXPECT_EQ(ok_moves, stats.drain_migrations + stats.rebalance_migrations);
 
-  ClusterScenarioResult one = RunClusterScenario(/*workers=*/1);
-  ClusterScenarioResult four = RunClusterScenario(/*workers=*/4);
-  EXPECT_TRUE(serial == one) << "1-worker fleet diverged from serial";
-  EXPECT_TRUE(serial == four) << "4-worker fleet diverged from serial";
+  ExpectSameObservation(serial, RunClusterScenario(/*workers=*/1), "1-worker fleet vs serial");
+  ExpectSameObservation(serial, RunClusterScenario(/*workers=*/4), "4-worker fleet vs serial");
 }
+
+// The oracle is not vacuous: observations of one host 1 simulated ms apart
+// differ, and the failure names the VM whose RAM moved.
+TEST(ObservationTest, NamesFirstDifferingEntry) {
+  Host host;
+  BootVm(host, VmConfig{.name = "dirty"}, guest::DirtyRateProgram(48, 400));
+  host.RunFor(kSimTicksPerMs);
+  Observation before = Observe(host);
+  ExpectSameObservation(before, Observe(host));
+  host.RunFor(kSimTicksPerMs);
+  Observation after = Observe(host);
+  EXPECT_NONFATAL_FAILURE(ExpectSameObservation(before, after), "\"vm dirty ram\"");
+}
+
+// ---------------------------------------------------------------------------
+// WorkerPool
+// ---------------------------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEveryLaneExactlyOnceAcrossBatches) {
   core::WorkerPool pool(3);

@@ -1,5 +1,6 @@
-// Shared helpers for tests that drive whole VMs through core::Host: boot a
-// guest program, read its progress word, and digest its RAM.
+// Shared helpers for tests that drive whole VMs through core::Host or
+// cluster::Cluster: boot a guest program, read its progress word, and digest
+// its RAM.
 
 #ifndef TESTS_VM_TEST_UTIL_H_
 #define TESTS_VM_TEST_UTIL_H_
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/cluster/cluster.h"
 #include "src/core/host.h"
 #include "src/guest/programs.h"
 #include "src/util/crc32.h"
@@ -20,6 +22,17 @@ inline core::Vm* BootVm(core::Host& host, core::VmConfig config, const std::stri
   auto image = guest::Build(source);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   auto vm = host.CreateVm(std::move(config));
+  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
+  EXPECT_TRUE((*vm)->LoadImage(*image).ok());
+  return *vm;
+}
+
+// Loads `source` into a fresh VM that `cluster` places (on `pin`, if given).
+inline core::Vm* BootVm(cluster::Cluster& cluster, core::VmConfig config,
+                        const std::string& source, core::Host* pin = nullptr) {
+  auto image = guest::Build(source);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  auto vm = cluster.CreateVm(std::move(config), pin);
   EXPECT_TRUE(vm.ok()) << vm.status().ToString();
   EXPECT_TRUE((*vm)->LoadImage(*image).ok());
   return *vm;

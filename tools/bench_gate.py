@@ -3,7 +3,6 @@
 
     tools/bench_gate.py perf FILE      # bench_exec --benchmark_format=json
     tools/bench_gate.py net FILE       # bench_net --gate output
-    tools/bench_gate.py cluster FILE   # bench_cluster --gate output
 
 Reads the gate's metrics from FILE, prints each next to its bound, and exits
 0 when every bound of that gate holds, 1 when one fails or FILE lacks a
@@ -16,7 +15,7 @@ import re
 import statistics
 import sys
 
-OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "==": operator.eq}
+OPS = {">=": operator.ge, "<": operator.lt}
 
 # gate -> [(metric, op, bound)]
 BOUNDS = {
@@ -32,14 +31,6 @@ BOUNDS = {
     "net": [
         ("batched/per-frame", ">=", 3.0),
         ("intr_per_1k", "<", 50.0),
-    ],
-    # Cluster fleet scenario: no guest lost, migrations happened, every one
-    # reconciled against its report, bit-identical at 0 and 4 workers.
-    "cluster": [
-        ("lost", "==", 0),
-        ("migrations", ">", 0),
-        ("unreconciled", "==", 0),
-        ("determinism", "==", "ok"),
     ],
 }
 
@@ -67,18 +58,7 @@ def net_metrics(text):
     return {"batched/per-frame": float(m.group(3)), "intr_per_1k": float(m.group(4))}
 
 
-def cluster_metrics(text):
-    m = re.search(r"gate: vms=(\d+) lost=(\d+) migrations=(\d+) reconciled=(\d+) "
-                  r"determinism=(\S+)", text)
-    if not m:
-        return None
-    vms, lost, migrations, reconciled, det = m.groups()
-    print(f"cluster gate: {vms} guests")
-    return {"lost": int(lost), "migrations": int(migrations),
-            "unreconciled": int(migrations) - int(reconciled), "determinism": det}
-
-
-PARSERS = {"perf": perf_metrics, "net": net_metrics, "cluster": cluster_metrics}
+PARSERS = {"perf": perf_metrics, "net": net_metrics}
 
 
 def main(argv):
@@ -96,8 +76,7 @@ def main(argv):
         value = metrics[name]
         held = OPS[op](value, bound)
         ok = ok and held
-        shown = f"{value:.2f}" if isinstance(value, float) else str(value)
-        print(f"{gate} gate: {name} {shown} (bound {op} {bound}) "
+        print(f"{gate} gate: {name} {value:.2f} (bound {op} {bound}) "
               f"{'ok' if held else 'FAILED'}")
     return 0 if ok else 1
 

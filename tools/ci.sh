@@ -21,18 +21,28 @@
 #   * clang-tidy lint (skipped gracefully where clang-tidy is absent)
 #   * perf smoke: Release bench_exec and bench_net. The DBT engine must
 #     clear 2x the interpreter's guest-MIPS on the hot compute kernel — a
-#     coarse anti-regression tripwire, not a microbench gate (steady-state
-#     margin is ~2.2-2.5x since the interpreter caches decodes; 2x absorbs
-#     shared-runner noise). The net data plane gate is exact: batched
-#     virtio must clear 3x the per-frame path's
-#     frames/sec and stay under 50 interrupts per 1k frames, measured in
-#     deterministic simulated time (immune to runner noise)
-#   * cluster gate: Release bench_cluster --gate runs the fixed fleet
-#     scenario (4 hosts, churn, drain, injected crash) at 0 and 4 workers —
-#     zero guests lost, every migration reconciled against its
-#     MigrationReport, bit-identical results across worker counts
+#     coarse anti-regression tripwire, not a microbench gate. On a shared
+#     4-core Xeon runner the measured ratio is 1.21-1.86 in 9 of 11 runs
+#     (2.01 and 2.05 in the other two), so this bound currently fails there;
+#     see ROADMAP.md. The net data plane gate is exact: batched virtio must
+#     clear 3x the per-frame path's frames/sec and stay under 50 interrupts
+#     per 1k frames, measured in deterministic simulated time (immune to
+#     runner noise)
 #
-# Every perf, net and cluster bound is in one table in tools/bench_gate.py.
+# Every perf and net bound is in one table in tools/bench_gate.py.
+#
+# The cluster fleet's bounds are assertions of
+# ClusterStagedTest.FleetUnderChurnIsIdenticalAcrossWorkerCounts
+# (tests/parallel_test.cc), which runs in the first stage, again under
+# HYPERION_AUDIT=1, and under TSan with HYPERION_WORKERS=4:
+#
+#     no guest lost          evacuations_lost == 0 and 64 guests observed
+#     migrations happened    drain_migrations > 0
+#     every move reconciled  each ok MigrationRecord has pages_sent > 0,
+#                            total_time > 0 and downtime < 10 ms, and
+#                            ok moves == drain + rebalance migrations
+#     bit-identical          the whole observation at 1 and 4 workers
+#                            equals the serial one
 #
 # Stage numbers are printed by the stage() helper, so inserting a stage never
 # desynchronizes the [N/TOTAL] banners again.
@@ -50,7 +60,7 @@ FAST=0
 [ "${1:-}" = "--fast" ] && FAST=1
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-TOTAL=11
+TOTAL=10
 STAGE=0
 stage() {  # stage <banner text>
   STAGE=$((STAGE + 1))
@@ -137,15 +147,15 @@ tools/run_lint.sh build
 
 stage "perf smoke: hot DBT vs interpreter; tier-2 vs tier-1; net data plane"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-perf -j "$JOBS" --target bench_exec bench_net bench_cluster
+cmake --build build-perf -j "$JOBS" --target bench_exec bench_net
 # --benchmark_min_time takes a bare seconds value (no "s" suffix). Ratios are
 # computed from per-benchmark medians of 3 repetitions, and the stage retries
 # once on failure, so a single noisy sample on an oversubscribed shared
 # runner cannot fail the build on its own. Two gates on the hot compute
-# kernel: the full DBT must clear 2x the interpreter (steady-state margin is
-# ~2.2-2.5x with the interpreter's decode cache), and the tier-2 optimizer
-# must clear 1.10x the tier-1-only DBT (steady-state margin is ~1.4x) — the
-# optimizer has to pay for itself.
+# kernel: the full DBT must clear 2x the interpreter (measured 1.21-2.05 on
+# a shared 4-core Xeon runner), and the tier-2 optimizer must clear 1.10x
+# the tier-1-only DBT (measured 1.30-1.55 there) — the optimizer has to pay
+# for itself.
 perf_smoke() {
   build-perf/bench/bench_exec \
     --benchmark_filter='BM_InterpreterHot|BM_DbtHot|BM_DbtTier1Hot' \
@@ -164,13 +174,6 @@ fi
 # tools/bench_gate.py).
 build-perf/bench/bench_net --gate | tee build-perf/bench_net_gate.txt
 python3 tools/bench_gate.py net build-perf/bench_net_gate.txt
-
-stage "cluster gate: fleet lifecycle, worker-count bit-identity"
-# Deterministic like the net gate: simulated time, fixed scenario, one run.
-# The binary itself replays the scenario at 0 and 4 workers and compares
-# digests; the gate enforces conservation and reconciliation.
-build-perf/bench/bench_cluster --gate | tee build-perf/bench_cluster_gate.txt
-python3 tools/bench_gate.py cluster build-perf/bench_cluster_gate.txt
 
 echo "ci: all stages passed"
 echo "ci: skipped: ${SKIPPED:-none}"
