@@ -12,20 +12,6 @@ Cluster::Cluster(ClusterConfig config)
       domain_(config_.worker_threads),
       fabric_(&domain_.clock(), config_.fabric) {}
 
-Cluster::~Cluster() {
-  // Pending deliveries (fabric relays, in-flight local frames) hold payloads
-  // backed by member FramePools: drop them while every pool is still alive,
-  // so members then tear down against an empty queue.
-  domain_.DiscardPendingEvents();
-  // A guest's RX backlog can hold frames from another member's pool, so
-  // every member's VMs go before any member host (and its pool) does.
-  for (auto& host : hosts_) {
-    while (!host->vms().empty()) {
-      (void)host->DestroyVm(host->vms().back().get());
-    }
-  }
-}
-
 core::Host* Cluster::AddHost(core::HostConfig config) {
   if (config.name.empty() || FindHost(config.name) != nullptr) {
     config.name = config_.name + "-h" + std::to_string(hosts_.size());

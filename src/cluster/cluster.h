@@ -91,7 +91,6 @@ struct ClusterStats {
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = ClusterConfig{});
-  ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

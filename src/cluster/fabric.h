@@ -55,7 +55,8 @@ class Fabric {
 
   // Attaches `host`'s switch to the fabric. The host must share the fabric's
   // clock (same TimeDomain) and must outlive frame deliveries — the Cluster
-  // guarantees both by draining the shared event queue before teardown.
+  // guarantees both: its hosts join its domain, and no pending delivery runs
+  // once teardown starts (the queue dies with the domain, unrun).
   void AddHost(core::Host* host);
 
   // Subjects every fabric crossing to injected drop/duplicate/delay faults

@@ -238,11 +238,6 @@ class Host {
   // does between rounds (VM setup/teardown, crash handling). Host is a
   // friend of SerialPhase; nothing on a worker lane can reach this member.
   SerialPhase serial_;
-  // pool_ before owned_domain_: a standalone host's pending clock events can
-  // hold frames whose refcounted payloads (net::FrameBuf) release into the
-  // pool, so the owned domain's event queue must be torn down while the pool
-  // is still alive. (Clustered hosts borrow their domain; the Cluster clears
-  // the shared queue before tearing members down.)
   mem::FramePool pool_;
   std::unique_ptr<TimeDomain> owned_domain_;  // standalone only
   TimeDomain* domain_;                        // owned or borrowed

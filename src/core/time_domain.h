@@ -53,11 +53,6 @@ class TimeDomain {
   // against the shared event horizon.
   void RunFor(SimTime duration);
 
-  // Drops every pending event without running it; returns how many. Only
-  // for teardown, before member hosts (whose pools back event-held frame
-  // payloads) are destroyed. See SimClock::DiscardPending.
-  size_t DiscardPendingEvents() { return clock_.DiscardPending(serial_); }
-
  private:
   friend class Host;
 
@@ -70,7 +65,7 @@ class TimeDomain {
   bool RunRound(SimTime end);
 
   // The domain thread's serial-phase capability, handed to everything the
-  // round loop does between rounds (clock pumping, fault gates, teardown).
+  // round loop does between rounds (clock pumping, fault gates).
   SerialPhase serial_;
   SimClock clock_;
   std::vector<Host*> members_;

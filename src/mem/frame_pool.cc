@@ -9,14 +9,14 @@ namespace hyperion::mem {
 FramePool::FramePool(size_t num_frames)
     : memory_(static_cast<uint8_t*>(std::calloc(num_frames, isa::kPageSize))),
       refcount_(num_frames, 0),
-      netbuf_(num_frames, 0),
       free_count_(num_frames) {
   if (memory_ == nullptr && num_frames != 0) {  // fail as operator new would
     throw std::bad_alloc();
   }
 }
 
-Result<HostFrame> FramePool::AllocateLocked(bool zero) {
+Result<HostFrame> FramePool::Allocate() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (free_count_ == 0) {
     return ResourceExhaustedError("host frame pool exhausted");
   }
@@ -28,29 +28,14 @@ Result<HostFrame> FramePool::AllocateLocked(bool zero) {
       alloc_cursor_ = (i + 1) % n;
       refcount_[i] = 1;
       --free_count_;
-      if (zero) {
-        std::memset(memory_.get() + i * isa::kPageSize, 0, isa::kPageSize);
-      }
+      std::memset(memory_.get() + i * isa::kPageSize, 0, isa::kPageSize);
       return static_cast<HostFrame>(i);
     }
   }
   return InternalError("free_count_ positive but no free frame found");
 }
 
-Result<HostFrame> FramePool::Allocate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AllocateLocked(/*zero=*/true);
-}
-
-Result<HostFrame> FramePool::AllocateNetBuf() {
-  std::lock_guard<std::mutex> lock(mu_);
-  HYP_ASSIGN_OR_RETURN(HostFrame frame, AllocateLocked(/*zero=*/false));
-  netbuf_[frame] = 1;
-  ++netbuf_count_;
-  return frame;
-}
-
-void FramePool::Release(HostFrame frame) {
+void FramePool::DecRef(const Phase&, HostFrame frame) {
   Stage* s = tls_stage_;
   if (s != nullptr && s->pool == this) {
     assert(IsAllocated(frame));
@@ -81,10 +66,6 @@ void FramePool::DecRefLocked(HostFrame frame) {
   assert(IsAllocated(frame));
   if (--refcount_[frame] == 0) {
     ++free_count_;
-    if (netbuf_[frame] != 0) {
-      netbuf_[frame] = 0;
-      --netbuf_count_;
-    }
   }
 }
 

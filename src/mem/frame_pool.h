@@ -1,7 +1,10 @@
 // Host physical memory: a pool of 4 KiB frames shared by every VM on a host.
 //
 // Frames are reference-counted so that content-based page sharing (src/ksm)
-// can map one host frame into several guests copy-on-write.
+// can map one host frame into several guests copy-on-write. Every allocated
+// frame is guest memory: its refcount equals the number of guest pages that
+// map it (the frame-accounting audit checks this). Network payloads own heap
+// bytes (net::FrameBuf) and never draw on the pool.
 //
 // Concurrency (DESIGN.md §8): during a round of the staged execution core,
 // worker threads may Allocate (COW break, balloon deflate) and stage DecRefs
@@ -15,7 +18,8 @@
 // state; the one observable caveat is allocation-failure attribution when
 // the pool runs dry mid-round, which is schedule-dependent.
 //
-// Phase discipline (DESIGN.md §9): the immediate-effect entry points
+// Phase discipline (DESIGN.md §9): every call that changes a refcount after
+// allocation carries a phase token. The immediate-effect entry points
 // (DecRefImmediate, AddRef) demand a direct-phase token that worker lanes
 // cannot hold; lanes, and code that runs in both regimes (GuestMemory's COW
 // break), drop references through DecRef(const Phase&, ...), which stages
@@ -35,10 +39,6 @@
 #include "src/util/phase.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
-
-namespace hyperion::net {
-class FrameBuf;  // friend: the refcounted network payload buffer
-}  // namespace hyperion::net
 
 namespace hyperion::mem {
 
@@ -70,24 +70,10 @@ class FramePool {
   // Allocates a zeroed frame with refcount 1.
   Result<HostFrame> Allocate();
 
-  // Allocates a frame backing a refcounted network payload buffer
-  // (net::FrameBuf) rather than a guest mapping. Netbuf frames always hold
-  // pool refcount 1 — FrameBuf multiplexes its own shared handle on top —
-  // and are flagged so the frame-accounting auditor expects them to be
-  // mapped by zero guest pages. Contents are not zeroed: the buffer is
-  // write-before-read by construction.
-  Result<HostFrame> AllocateNetBuf();
-
-  // Lockless like RefCount: the auditor runs at the round barrier.
-  bool IsNetBuf(HostFrame frame) const HYP_NO_THREAD_SAFETY_ANALYSIS {
-    return frame < netbuf_.size() && netbuf_[frame] != 0;
-  }
-  size_t netbuf_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS { return netbuf_count_; }
-
   // Drops one reference. Inside an executing slice it is deferred into the
   // slice's Stage and applied at the round barrier; otherwise it drops in
   // place (GuestMemory COW break / balloon paths run in both regimes).
-  void DecRef(const Phase&, HostFrame frame) { Release(frame); }
+  void DecRef(const Phase&, HostFrame frame);
 
   // Drops one reference in place; the frame returns to the free list at
   // refcount 0. Serial/commit phases only.
@@ -108,17 +94,6 @@ class FramePool {
   size_t used_frames() const { return total_frames() - free_frames(); }
 
  private:
-  // The leaf under DecRef: stages when the current thread is staging for
-  // this pool, drops the reference in place otherwise. FrameBuf's control
-  // block calls it directly because it dies wherever the last handle dies
-  // and a destructor cannot carry a phase token; the hole in the token
-  // discipline is scoped to that one friend, and the staging route keeps
-  // release ordering deterministic for any worker count (DESIGN.md §10).
-  friend class net::FrameBuf;
-  void Release(HostFrame frame);
-
-  Result<HostFrame> AllocateLocked(bool zero) HYP_REQUIRES(mu_);
-
   // Lockless like RefCount: used on the staged DecRef path (assert only).
   bool IsAllocated(HostFrame frame) const HYP_NO_THREAD_SAFETY_ANALYSIS {
     return frame < refcount_.size() && refcount_[frame] > 0;
@@ -141,8 +116,6 @@ class FramePool {
   };
   std::unique_ptr<uint8_t[], FreeDeleter> memory_;
   std::vector<uint32_t> refcount_ HYP_GUARDED_BY(mu_);
-  std::vector<uint8_t> netbuf_ HYP_GUARDED_BY(mu_);  // frame backs a FrameBuf
-  size_t netbuf_count_ HYP_GUARDED_BY(mu_) = 0;
   size_t free_count_ HYP_GUARDED_BY(mu_);
   size_t alloc_cursor_ HYP_GUARDED_BY(mu_) = 0;  // next-fit scan position
 };

@@ -62,15 +62,6 @@ class EventQueue {
     return ev;
   }
 
-  // Drops every pending event unconditionally (including owner-0 events);
-  // returns how many. Cluster teardown uses this to release event-held
-  // resources (frame payloads) while their owning pools are still alive.
-  size_t Clear() {
-    size_t dropped = heap_.size();
-    heap_.clear();
-    return dropped;
-  }
-
   // Drops every pending event tagged with `owner`; returns how many.
   size_t CancelOwner(uint64_t owner) {
     size_t dropped = std::erase_if(

@@ -130,12 +130,6 @@ class SimClock {
     return owner == 0 ? 0 : queue_.CancelOwner(owner);
   }
 
-  // Drops every pending event, owned or not, without running it. Multi-host
-  // teardown only: pending deliveries hold frame payloads that must release
-  // into their member hosts' pools before those pools are destroyed, so the
-  // owning Cluster clears the shared queue before tearing members down.
-  size_t DiscardPending(const DirectPhase&) { return queue_.Clear(); }
-
   // Moves time forward by `delta` without running events (callers that manage
   // their own event dispatch, e.g. the vCPU run loop, use this).
   void Advance(const DirectPhase&, SimTime delta) { now_ += delta; }

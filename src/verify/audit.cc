@@ -62,18 +62,6 @@ void AuditFrameAccounting(const mem::FramePool& pool,
     uint32_t refs = pool.RefCount(f);
     auto it = mapped.find(f);
     uint32_t maps = it == mapped.end() ? 0 : it->second;
-    if (pool.IsNetBuf(f)) {
-      // Network payload buffers (net::FrameBuf) hold exactly one pool ref
-      // and are never guest-mapped; FrameBuf's own shared handle multiplexes
-      // on top (DESIGN.md §10).
-      if (refs != 1 || maps != 0) {
-        std::ostringstream os;
-        os << "netbuf frame " << f << ": refcount " << refs << " mapped by " << maps
-           << " guest page(s); expected refcount 1, unmapped";
-        report->violations.push_back(os.str());
-      }
-      continue;
-    }
     if (refs != maps) {
       std::ostringstream os;
       os << "frame " << f << ": refcount " << refs << " but mapped by " << maps

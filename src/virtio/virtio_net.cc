@@ -109,16 +109,11 @@ Result<VirtioNet::DrainResult> VirtioNet::DrainTx(const Phase& ph, uint32_t budg
     net::Frame f;
     f.src = addr_;
     f.dst = dst;
-    // The single gather: guest TX buffer -> pool-backed FrameBuf. Everything
-    // downstream (switch staging, links, fault injection, RX backlog) shares
-    // this buffer by handle.
-    f.payload = net::FrameBuf::Allocate(&memory().pool(), len);
-    size_t off = 0;
-    for (size_t c = 0; c < f.payload.num_chunks(); ++c) {
-      std::span<uint8_t> span = f.payload.chunk(c);
-      HYP_RETURN_IF_ERROR(ReadChain(chain, kFrameHeaderBytes + off, span.data(), span.size()));
-      off += span.size();
-    }
+    // The single gather: guest TX buffer -> FrameBuf. Everything downstream
+    // (switch staging, links, fault injection, RX backlog) shares this
+    // buffer by handle.
+    f.payload = net::FrameBuf::Allocate(len);
+    HYP_RETURN_IF_ERROR(ReadChain(chain, kFrameHeaderBytes, f.payload.data(), len));
     burst.push_back(std::move(f));
     ++net_stats_.tx_frames;
     HYP_RETURN_IF_ERROR(vq.PushUsed(memory(), chain.head, 0));
@@ -175,20 +170,10 @@ void VirtioNet::PumpRx(const Phase& ph) {
     std::memcpy(hdr, &f.src, 4);
     std::memcpy(hdr + 4, &len, 4);
     auto hdr_written = WriteChain(*chain, 0, hdr, sizeof hdr);
-    uint32_t written = hdr_written.ok() ? *hdr_written : 0;
-    bool chain_bad = !hdr_written.ok();
-    size_t off = 0;
-    for (size_t c = 0; !chain_bad && c < f.payload.num_chunks(); ++c) {
-      std::span<const uint8_t> span = f.payload.chunk(c);
-      auto w = WriteChain(*chain, kFrameHeaderBytes + off, span.data(), span.size());
-      if (!w.ok()) {
-        chain_bad = true;
-        break;
-      }
-      written += *w;
-      off += span.size();
-    }
-    if (chain_bad) {
+    auto body_written = hdr_written.ok()
+                            ? WriteChain(*chain, kFrameHeaderBytes, f.payload.data(), len)
+                            : hdr_written;
+    if (!body_written.ok()) {
       // Bad guest buffer address: return the chain (len 0) so the guest
       // does not permanently lose this RX slot, keep the frame queued, and
       // try the next posted chain.
@@ -196,6 +181,7 @@ void VirtioNet::PumpRx(const Phase& ph) {
       ++net_stats_.rx_chain_errors;
       continue;
     }
+    uint32_t written = *hdr_written + *body_written;
     if (written < kFrameHeaderBytes + len) {
       ++net_stats_.rx_dropped;  // posted buffer too small: frame truncated/lost
     } else {

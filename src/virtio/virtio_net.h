@@ -7,10 +7,10 @@
 //   TX: { u32 dst; u32 len; }   RX: { u32 src; u32 len; }
 //
 // Data plane (DESIGN.md §10):
-//   - TX payloads are gathered once into a refcounted net::FrameBuf drawn
-//     from the host FramePool and handed to the switch as a batch
-//     (TransmitBurst); the bytes are not copied again until the receiving
-//     NIC scatters them into an RX chain.
+//   - TX payloads are gathered once into a refcounted heap net::FrameBuf
+//     (never host FramePool frames, which are guest memory) and handed to
+//     the switch as a batch (TransmitBurst); the bytes are not copied again
+//     until the receiving NIC scatters them into an RX chain.
 //   - Interrupts coalesce via EVENT_IDX (NotifyUsed) when the driver acks
 //     kFeatureEventIdx at 0x2C; one interrupt covers a whole drained batch
 //     either way.

@@ -147,8 +147,10 @@ TEST(ClusterTest, FabricLatencyIsCharged) {
 
 // Teardown with a cross-host frame still parked in a guest's RX backlog:
 // ping on h0 sends to a NIC on h1 whose guest never readies its RX queue, so
-// the frame, a buffer from h0's pool, waits on h1. Destroying the cluster
-// must release it while h0's pool is still alive.
+// the frame still waits on h1 when the cluster's default destructor tears h0
+// down first. Frames own their bytes, so the parked one outlives its sender;
+// under ASan, a payload tied to h0's memory would show here as a
+// use-after-free.
 TEST(ClusterTest, TeardownReleasesFramesParkedOnAnotherHost) {
   ClusterConfig cc;
   cc.worker_threads = 0;
@@ -173,7 +175,7 @@ TEST(ClusterTest, TeardownReleasesFramesParkedOnAnotherHost) {
   cl->RunFor(2 * kSimTicksPerMs);
   EXPECT_GE(mute->virtio_net()->net_stats().rx_backlog_hwm, 1u);
   EXPECT_EQ(mute->virtio_net()->net_stats().rx_frames, 0u);
-  cl.reset();  // h0 goes first; the parked frame must not outlive its pool
+  cl.reset();  // h0 goes first; the parked frame outlives it
 }
 
 // --- Admission & placement -------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,35 @@ TEST(NetworkTest, FrameArrivingBeforeRxReadyIsDelivered) {
   echo->Resume(TestPhase());
   host.RunFor(500 * kSimTicksPerMs);
   EXPECT_EQ(ReadProgress(ping, ping_prog), 4u);
+}
+
+// Network payloads own heap bytes: a stream of frames in flight (switch
+// queue, RX backlog) takes no host frames, so the pool holds exactly the
+// frames the guests map.
+TEST(NetworkTest, VirtioTrafficHoldsNoHostFrames) {
+  guest::NetStreamParams sp;
+  VmConfig stream_cfg{.name = "stream"};
+  stream_cfg.net_model = IoModel::kParavirt;
+  stream_cfg.mac = 1;
+  VmConfig sink_cfg{.name = "sink"};
+  sink_cfg.net_model = IoModel::kParavirt;
+  sink_cfg.mac = sp.peer_mac;
+
+  Host host(HostConfig{.ram_bytes = 16u << 20});
+  BootVm(host, stream_cfg, guest::VirtioNetStreamProgram(sp));
+  Vm* sink = BootVm(host, sink_cfg, guest::VirtioNetSinkProgram(sp));
+  host.RunFor(2 * kSimTicksPerMs);
+
+  std::set<mem::HostFrame> guest_frames;
+  for (const auto& vm : host.vms()) {
+    for (uint32_t gpn = 0; gpn < vm->memory().num_pages(); ++gpn) {
+      if (vm->memory().IsPresent(gpn)) {
+        guest_frames.insert(vm->memory().FrameForPage(gpn));
+      }
+    }
+  }
+  EXPECT_GT(sink->virtio_net()->net_stats().rx_frames, 0u);
+  EXPECT_EQ(host.pool().used_frames(), guest_frames.size());
 }
 
 // ---------------------------------------------------------------------------

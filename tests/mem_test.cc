@@ -53,23 +53,6 @@ TEST(FramePoolTest, FramesAreZeroedOnAllocate) {
   }
 }
 
-TEST(FramePoolTest, NetBufFrameIsZeroedWhenReallocatedForGuest) {
-  // Netbuf frames skip zeroing; a guest frame reusing one must not see the
-  // payload left behind.
-  FramePool pool(1);
-  auto nb = pool.AllocateNetBuf();
-  ASSERT_TRUE(nb.ok());
-  std::memset(pool.FrameData(*nb), 0xAB, kPageSize);
-  pool.DecRef(TestPhase(), *nb);
-  auto f = pool.Allocate();
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(*f, *nb);
-  EXPECT_FALSE(pool.IsNetBuf(*f));
-  for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(pool.FrameData(*f)[i], 0) << "byte " << i;
-  }
-}
-
 TEST(FramePoolTest, RefCountingKeepsFrameAlive) {
   FramePool pool(2);
   auto f = pool.Allocate();

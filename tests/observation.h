@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <any>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,28 @@
 #include "tests/vm_test_util.h"
 
 namespace hyperion {
+
+namespace core {
+
+// Named counters for divergence messages: without these, gtest prints the
+// structs as byte dumps that include the pcpu vector's heap pointers.
+inline void PrintTo(const Host::PcpuStats& s, std::ostream* os) {
+  *os << "{busy_cycles=" << s.busy_cycles << " steal_cycles=" << s.steal_cycles
+      << " idle_time=" << s.idle_time << "}";
+}
+
+inline void PrintTo(const Host::HostStats& s, std::ostream* os) {
+  *os << "{slices=" << s.slices << " idle_picks=" << s.idle_picks
+      << " cycles_executed=" << s.cycles_executed << " context_switches=" << s.context_switches
+      << " rounds=" << s.rounds << " fault_pause_time=" << s.fault_pause_time << " pcpu=[";
+  for (size_t i = 0; i < s.pcpu.size(); ++i) {
+    *os << (i == 0 ? "" : ", ");
+    PrintTo(s.pcpu[i], os);
+  }
+  *os << "]}";
+}
+
+}  // namespace core
 
 class Observation {
  public:

@@ -418,6 +418,27 @@ TEST(ObservationTest, NamesFirstDifferingEntry) {
   EXPECT_NONFATAL_FAILURE(ExpectSameObservation(before, after), "\"vm dirty ram\"");
 }
 
+// A host-stats divergence prints named counters, not gtest's byte dump of
+// the struct (whose pcpu vector holds heap pointers that differ anyway).
+TEST(ObservationTest, HostStatsDifferenceNamesCounters) {
+  Host host;
+  BootVm(host, VmConfig{.name = "idle"}, guest::IdleTickProgram(200'000));
+  host.RunFor(kSimTicksPerMs);
+  Host::HostStats changed = host.stats();
+  ++changed.idle_picks;
+  Observation a;
+  a.Add("host stats", host.stats());
+  Observation b;
+  b.Add("host stats", changed);
+
+  std::string diff = a.FirstDifference(b);
+  EXPECT_NE(diff.find("\"host stats\""), std::string::npos) << diff;
+  EXPECT_NE(diff.find("idle_picks=" + std::to_string(changed.idle_picks)), std::string::npos)
+      << diff;
+  EXPECT_NE(diff.find("pcpu=[{busy_cycles="), std::string::npos) << diff;
+  EXPECT_EQ(diff.find("-byte object"), std::string::npos) << diff;
+}
+
 // ---------------------------------------------------------------------------
 // WorkerPool
 // ---------------------------------------------------------------------------
